@@ -80,7 +80,11 @@ class MusicEstimator {
   MusicConfig config_;
 };
 
-/// Bartlett (conventional beamformer) spectrum: P = a^H R a / (a^H a).
+/// Bartlett (conventional beamformer) spectrum: P = a^H R a / (a^H a),
+/// one pass over `manifold`'s steering table.
+Pseudospectrum bartlett_spectrum(const CMat& covariance,
+                                 const SteeringManifold& manifold);
+/// Same, over a manifold built here for (geom, lambda_m, step_deg).
 Pseudospectrum bartlett_spectrum(const CMat& covariance,
                                  const ArrayGeometry& geom, double lambda_m,
                                  double step_deg = 1.0);
@@ -92,7 +96,10 @@ Pseudospectrum capon_spectrum(const CMat& covariance, const ArrayGeometry& geom,
 
 /// Capon scan over a precomputed loaded inverse (e.g.
 /// SpectralContext::inverse), so the matrix inversion is shared with
-/// other consumers of the same frame.
+/// other consumers of the same frame: one pass over `manifold`.
+Pseudospectrum capon_spectrum_from_inverse(const CMat& r_inverse,
+                                           const SteeringManifold& manifold);
+/// Same, over a manifold built here for (geom, lambda_m, step_deg).
 Pseudospectrum capon_spectrum_from_inverse(const CMat& r_inverse,
                                            const ArrayGeometry& geom,
                                            double lambda_m,

@@ -7,7 +7,10 @@
 // A SpectralContext owns the covariance of one frame (or one subband of
 // one frame) and lazily computes and caches the derived decompositions,
 // so a frame pays for one EVD and one inverse no matter how many
-// backends and spoof checks look at it.
+// backends and spoof checks look at it. The grid scans read their
+// steering vectors from a SteeringManifold the context borrows from its
+// owner (an AccessPoint builds one per band at construction) or, when
+// none fits, builds once on first use.
 //
 // A context is built once per (frame, subband) and then read by one
 // worker at a time; the lazy caches are not synchronized, so do not
@@ -17,6 +20,7 @@
 #include <cstddef>
 #include <optional>
 
+#include "sa/aoa/manifold.hpp"
 #include "sa/array/geometry.hpp"
 #include "sa/linalg/cmat.hpp"
 #include "sa/linalg/eig.hpp"
@@ -33,13 +37,21 @@ struct SpectralOptions {
   std::size_t smoothing_subarray = 0;
 };
 
+/// The geometry a context's processed() matrix corresponds to under
+/// `options` — what MUSIC scans: the leading smoothing subarray of a
+/// ULA, otherwise `geom` itself.
+ArrayGeometry scan_geometry(const ArrayGeometry& geom,
+                            const SpectralOptions& options);
+
 class SpectralContext {
  public:
   /// Takes ownership of `covariance` (an as-estimated sample covariance,
   /// square, sized to `geom`). `lambda_m` is the carrier — or subband
-  /// centre — wavelength the steering vectors use.
+  /// centre — wavelength the steering vectors use. `manifold`, when
+  /// given, is borrowed and must outlive the context.
   SpectralContext(CMat covariance, ArrayGeometry geom, double lambda_m,
-                  SpectralOptions options = {});
+                  SpectralOptions options = {},
+                  const SteeringManifold* manifold = nullptr);
 
   /// The raw covariance as handed in (what Capon and Bartlett consume).
   const CMat& covariance() const { return raw_; }
@@ -69,6 +81,14 @@ class SpectralContext {
   /// loading. Throws InvalidArgument when the loaded matrix is singular.
   const CMat& inverse(double loading_eps) const;
 
+  /// Steering manifold over `scan_geom` at this context's wavelength and
+  /// `step_deg`: the borrowed one when it was built for exactly these,
+  /// otherwise one built here on first use and cached (the cached one
+  /// is replaced, invalidating earlier references to it, when a later
+  /// call asks for a different geometry or step).
+  const SteeringManifold& manifold(const ArrayGeometry& scan_geom,
+                                   double step_deg) const;
+
  private:
   void ensure_processed() const;
 
@@ -76,6 +96,7 @@ class SpectralContext {
   ArrayGeometry geom_;
   double lambda_m_ = 0.0;
   SpectralOptions options_;
+  const SteeringManifold* borrowed_manifold_ = nullptr;
 
   mutable bool processed_ready_ = false;
   mutable CMat processed_;
@@ -85,6 +106,7 @@ class SpectralContext {
   mutable CMat projector_;
   mutable std::optional<double> inverse_eps_;
   mutable CMat inverse_;
+  mutable std::optional<SteeringManifold> own_manifold_;
 };
 
 }  // namespace sa

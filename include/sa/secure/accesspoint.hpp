@@ -87,12 +87,6 @@ struct AccessPointConfig {
   /// How the per-subband spectra fuse into the full-band signature when
   /// subbands > 1 (no effect at K = 1).
   BandFusion band_fusion = BandFusion::kUniform;
-  /// Share the per-band SpectralContext's cached decompositions (EVD,
-  /// loaded inverse) across every consumer of a frame — the estimator,
-  /// the power-weighted bearing rule — so each band pays for one EVD and
-  /// at most one inverse. False recomputes per consumer (the
-  /// pre-refactor behavior, kept for A/B benchmarks).
-  bool share_spectral_cache = true;
 };
 
 /// Everything the AP knows about one received packet.
@@ -156,7 +150,6 @@ class AccessPoint {
   /// one scratch per thread.
   struct FrameScratch {
     CVec aligned;
-    CVec window;
     std::vector<CMat> sub;
   };
 
@@ -178,7 +171,8 @@ class AccessPoint {
   /// Everything demodulation derives before the AoA estimates: the
   /// decode results and one SpectralContext per subband (one for the
   /// whole band when subbands == 1, or when the capture is too short to
-  /// split).
+  /// split). The contexts borrow this AP's steering manifolds, so a
+  /// FramePrep must not outlive the AccessPoint that prepared it.
   struct FramePrep {
     PacketDetection detection;
     std::optional<DecodedPacket> phy;
@@ -224,12 +218,21 @@ class AccessPoint {
   std::vector<double> to_world_bearings(double array_bearing_deg) const;
 
  private:
+  /// Centre wavelength of subband `band` (the carrier's when subbands
+  /// == 1).
+  double band_wavelength_m(std::size_t band) const;
+
   AccessPointConfig config_;
   ArrayImpairments impairments_;
   CalibrationTable calibration_;
   SchmidlCoxDetector detector_;
   std::unique_ptr<AoaEstimator> estimator_;
   PacketReceiver phy_rx_;
+  /// One steering manifold per subband, over the geometry the estimator
+  /// scans, at that band's centre wavelength — built once here and
+  /// borrowed by every frame's per-band SpectralContext. Band
+  /// subbands / 2 sits at the carrier, which the unsplit path uses.
+  std::vector<SteeringManifold> manifolds_;
 };
 
 }  // namespace sa

@@ -83,7 +83,7 @@ class CaponBackend : public AoaEstimator {
   MusicResult estimate(const SpectralContext& ctx) const override {
     MusicResult out;
     out.spectrum = capon_spectrum_from_inverse(
-        ctx.inverse(loading_), ctx.geometry(), ctx.lambda_m(), step_deg_);
+        ctx.inverse(loading_), ctx.manifold(ctx.geometry(), step_deg_));
     return out;
   }
   SpectralOptions spectral_options() const override { return options_; }
@@ -103,8 +103,8 @@ class BartlettBackend : public AoaEstimator {
 
   MusicResult estimate(const SpectralContext& ctx) const override {
     MusicResult out;
-    out.spectrum = bartlett_spectrum(ctx.covariance(), ctx.geometry(),
-                                     ctx.lambda_m(), step_deg_);
+    out.spectrum = bartlett_spectrum(ctx.covariance(),
+                                     ctx.manifold(ctx.geometry(), step_deg_));
     return out;
   }
   SpectralOptions spectral_options() const override { return options_; }

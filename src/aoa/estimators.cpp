@@ -109,37 +109,37 @@ MusicResult MusicEstimator::estimate(const SpectralContext& ctx) const {
   // MUSIC power = (a^H a) / (a^H P a).
   const CMat& noise_proj = ctx.noise_projector(k);
 
-  const ArrayGeometry& scan_geom = ctx.processed_geometry();
-  const std::vector<double> grid = scan_grid(scan_geom, config_.scan_step_deg);
-  std::vector<double> values(grid.size());
-  for (std::size_t g = 0; g < grid.size(); ++g) {
-    const CVec a = scan_geom.steering_vector(grid[g], ctx.lambda_m());
-    const double denom = quadratic_form(a, noise_proj);
-    const double num = norm(a) * norm(a);
+  const SteeringManifold& manifold =
+      ctx.manifold(ctx.processed_geometry(), config_.scan_step_deg);
+  std::vector<double> values(manifold.size());
+  for (std::size_t g = 0; g < values.size(); ++g) {
+    const double denom = manifold.quadratic_form(g, noise_proj);
+    const double num = manifold.norm_sq(g);
     values[g] = num / std::max(denom, 1e-12 * num);
   }
 
   MusicResult out{
-      Pseudospectrum(grid, std::move(values),
-                     scan_geom.kind() != ArrayKind::kLinear),
+      Pseudospectrum(manifold.grid(), std::move(values), manifold.wraps()),
       eig.values, k};
   return out;
 }
 
 Pseudospectrum bartlett_spectrum(const CMat& covariance,
+                                 const SteeringManifold& manifold) {
+  SA_EXPECTS(covariance.rows() == manifold.elements());
+  std::vector<double> values(manifold.size());
+  for (std::size_t g = 0; g < values.size(); ++g) {
+    const double num = manifold.quadratic_form(g, covariance);
+    values[g] = std::max(num, 0.0) / manifold.norm_sq(g);
+  }
+  return Pseudospectrum(manifold.grid(), std::move(values), manifold.wraps());
+}
+
+Pseudospectrum bartlett_spectrum(const CMat& covariance,
                                  const ArrayGeometry& geom, double lambda_m,
                                  double step_deg) {
-  SA_EXPECTS(covariance.rows() == geom.size());
-  const std::vector<double> grid = scan_grid(geom, step_deg);
-  std::vector<double> values(grid.size());
-  for (std::size_t g = 0; g < grid.size(); ++g) {
-    const CVec a = geom.steering_vector(grid[g], lambda_m);
-    const double num = quadratic_form(a, covariance);
-    const double den = norm(a) * norm(a);
-    values[g] = std::max(num, 0.0) / den;
-  }
-  return Pseudospectrum(grid, std::move(values),
-                        geom.kind() != ArrayKind::kLinear);
+  return bartlett_spectrum(covariance,
+                           SteeringManifold(geom, lambda_m, step_deg));
 }
 
 Pseudospectrum capon_spectrum(const CMat& covariance, const ArrayGeometry& geom,
@@ -154,18 +154,21 @@ Pseudospectrum capon_spectrum(const CMat& covariance, const ArrayGeometry& geom,
 }
 
 Pseudospectrum capon_spectrum_from_inverse(const CMat& r_inverse,
-                                           const ArrayGeometry& geom,
-                                           double lambda_m, double step_deg) {
-  SA_EXPECTS(r_inverse.rows() == geom.size());
-  const std::vector<double> grid = scan_grid(geom, step_deg);
-  std::vector<double> values(grid.size());
-  for (std::size_t g = 0; g < grid.size(); ++g) {
-    const CVec a = geom.steering_vector(grid[g], lambda_m);
-    const double q = quadratic_form(a, r_inverse);
+                                           const SteeringManifold& manifold) {
+  SA_EXPECTS(r_inverse.rows() == manifold.elements());
+  std::vector<double> values(manifold.size());
+  for (std::size_t g = 0; g < values.size(); ++g) {
+    const double q = manifold.quadratic_form(g, r_inverse);
     values[g] = 1.0 / std::max(q, 1e-30);
   }
-  return Pseudospectrum(grid, std::move(values),
-                        geom.kind() != ArrayKind::kLinear);
+  return Pseudospectrum(manifold.grid(), std::move(values), manifold.wraps());
+}
+
+Pseudospectrum capon_spectrum_from_inverse(const CMat& r_inverse,
+                                           const ArrayGeometry& geom,
+                                           double lambda_m, double step_deg) {
+  return capon_spectrum_from_inverse(
+      r_inverse, SteeringManifold(geom, lambda_m, step_deg));
 }
 
 double power_weighted_direct_bearing_deg(const Pseudospectrum& music_spectrum,

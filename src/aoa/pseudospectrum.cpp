@@ -64,12 +64,18 @@ std::vector<SpectrumPeak> Pseudospectrum::find_peaks(
   const double peak_val = max_value();
   if (peak_val <= 0.0) return {};
 
+  // Every index read below lies in [-n, 2n), so one conditional wrap
+  // reaches the circular neighbour; off the ends of a linear scan the
+  // value is -1, below any spectrum value.
+  const auto m = static_cast<std::ptrdiff_t>(n);
   auto at = [&](std::ptrdiff_t i) -> double {
-    if (wraps_) {
-      const auto m = static_cast<std::ptrdiff_t>(n);
-      return values_[static_cast<std::size_t>(((i % m) + m) % m)];
+    if (i < 0) {
+      if (!wraps_) return -1.0;
+      i += m;
+    } else if (i >= m) {
+      if (!wraps_) return -1.0;
+      i -= m;
     }
-    if (i < 0 || i >= static_cast<std::ptrdiff_t>(n)) return -1.0;
     return values_[static_cast<std::size_t>(i)];
   };
 
@@ -82,10 +88,12 @@ std::vector<SpectrumPeak> Pseudospectrum::find_peaks(
     // Prominence: walk outwards to the nearest higher point on each
     // side; the peak's prominence is its height above the higher of the
     // two deepest valleys crossed.
-    auto walk = [&](int dir) -> double {
+    auto walk = [&](std::ptrdiff_t dir) -> double {
       double valley = v;
+      std::ptrdiff_t j = si;
       for (std::size_t s = 1; s < n; ++s) {
-        const double w = at(si + dir * static_cast<std::ptrdiff_t>(s));
+        j += dir;
+        const double w = at(j);
         if (w < 0.0) break;  // hit a non-wrapping boundary
         valley = std::min(valley, w);
         if (w > v) return valley;
@@ -131,12 +139,16 @@ double Pseudospectrum::refined_max_angle_deg() const {
   const auto si = static_cast<std::ptrdiff_t>(i);
   const std::size_t n = values_.size();
 
+  // k is one step off i; a linear scan's ends repeat the maximum.
+  const auto m = static_cast<std::ptrdiff_t>(n);
   auto at = [&](std::ptrdiff_t k) -> double {
-    if (wraps_) {
-      const auto m = static_cast<std::ptrdiff_t>(n);
-      return values_[static_cast<std::size_t>(((k % m) + m) % m)];
+    if (k < 0) {
+      if (!wraps_) return values_[i];
+      k += m;
+    } else if (k >= m) {
+      if (!wraps_) return values_[i];
+      k -= m;
     }
-    if (k < 0 || k >= static_cast<std::ptrdiff_t>(n)) return values_[i];
     return values_[static_cast<std::size_t>(k)];
   };
   const double y0 = at(si - 1), y1 = at(si), y2 = at(si + 1);

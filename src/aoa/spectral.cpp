@@ -11,12 +11,26 @@
 
 namespace sa {
 
+ArrayGeometry scan_geometry(const ArrayGeometry& geom,
+                            const SpectralOptions& options) {
+  if (options.smoothing_subarray < 2 || geom.kind() != ArrayKind::kLinear) {
+    return geom;
+  }
+  // The smoothed matrix corresponds to the leading subarray; preserve
+  // ULA bearing conventions for it.
+  const auto& pos = geom.positions();
+  return ArrayGeometry::uniform_linear(options.smoothing_subarray,
+                                       distance(pos[0], pos[1]));
+}
+
 SpectralContext::SpectralContext(CMat covariance, ArrayGeometry geom,
-                                 double lambda_m, SpectralOptions options)
+                                 double lambda_m, SpectralOptions options,
+                                 const SteeringManifold* manifold)
     : raw_(std::move(covariance)),
       geom_(std::move(geom)),
       lambda_m_(lambda_m),
-      options_(options) {
+      options_(options),
+      borrowed_manifold_(manifold) {
   SA_EXPECTS(raw_.rows() == raw_.cols());
   SA_EXPECTS(raw_.rows() == geom_.size());
   SA_EXPECTS(lambda_m_ > 0.0);
@@ -24,18 +38,12 @@ SpectralContext::SpectralContext(CMat covariance, ArrayGeometry geom,
 
 void SpectralContext::ensure_processed() const {
   if (processed_ready_) return;
-  processed_geom_ = geom_;
+  processed_geom_ = scan_geometry(geom_, options_);
   bool smoothed = false;
   if (options_.smoothing_subarray >= 2) {
     if (geom_.kind() == ArrayKind::kLinear) {
       processed_ = spatial_smooth(raw_, options_.smoothing_subarray);
       smoothed = true;
-      // The smoothed matrix corresponds to the leading subarray; preserve
-      // ULA bearing conventions for it.
-      const auto& pos = geom_.positions();
-      const double spacing = distance(pos[0], pos[1]);
-      processed_geom_ =
-          ArrayGeometry::uniform_linear(options_.smoothing_subarray, spacing);
     } else {
       log_warn() << "SpectralContext: spatial smoothing requested for a "
                     "non-linear array; ignoring";
@@ -101,6 +109,19 @@ const CMat& SpectralContext::inverse(double loading_eps) const {
     inverse_eps_ = loading_eps;
   }
   return inverse_;
+}
+
+const SteeringManifold& SpectralContext::manifold(
+    const ArrayGeometry& scan_geom, double step_deg) const {
+  if (borrowed_manifold_ != nullptr &&
+      borrowed_manifold_->matches(scan_geom, lambda_m_, step_deg)) {
+    return *borrowed_manifold_;
+  }
+  if (!own_manifold_ ||
+      !own_manifold_->matches(scan_geom, lambda_m_, step_deg)) {
+    own_manifold_.emplace(scan_geom, lambda_m_, step_deg);
+  }
+  return *own_manifold_;
 }
 
 }  // namespace sa

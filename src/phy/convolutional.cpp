@@ -1,8 +1,8 @@
 #include "sa/phy/convolutional.hpp"
 
-#include <algorithm>
 #include <array>
 #include <limits>
+#include <utility>
 
 #include "sa/common/error.hpp"
 
@@ -102,54 +102,66 @@ Bits viterbi_decode(const Bits& coded, std::size_t n_out, CodeRate rate) {
     }
   }
 
-  // Precompute branch outputs: for (state, input) -> (outA, outB, next).
-  struct Branch {
-    std::uint8_t out_a, out_b;
-    unsigned next;
-  };
-  static const auto table = [] {
-    std::array<std::array<Branch, 2>, kStates> t{};
-    for (unsigned s = 0; s < kStates; ++s) {
-      for (unsigned b = 0; b < 2; ++b) {
-        const unsigned reg = (b << 6) | s;
-        t[s][b] = Branch{parity7(reg & kG0), parity7(reg & kG1),
-                         (reg >> 1) & 0x3F};
+  // The trellis, indexed by next state: state ns is entered from
+  // predecessors 2*(ns & 31) and 2*(ns & 31) + 1 on input bit ns >> 5;
+  // kOut[ns][p] is the branch's (out_a << 1) | out_b from predecessor
+  // 2*(ns & 31) + p.
+  static const auto kOut = [] {
+    std::array<std::array<std::uint8_t, 2>, kStates> t{};
+    for (unsigned ns = 0; ns < kStates; ++ns) {
+      for (unsigned p = 0; p < 2; ++p) {
+        const unsigned reg = ((ns >> 5) << 6) | (2 * (ns & 31) + p);
+        t[ns][p] = static_cast<std::uint8_t>((parity7(reg & kG0) << 1) |
+                                             parity7(reg & kG1));
       }
     }
     return t;
   }();
 
   constexpr unsigned kInf = std::numeric_limits<unsigned>::max() / 4;
-  std::vector<unsigned> metric(kStates, kInf);
-  std::vector<unsigned> next_metric(kStates, kInf);
+  std::array<std::array<unsigned, kStates>, 2> metrics{};
+  unsigned* metric = metrics[0].data();
+  unsigned* next_metric = metrics[1].data();
+  metrics[0].fill(kInf);
   metric[0] = 0;  // encoder starts in state 0
-  // survivor[t][next_state] = (prev_state << 1) | input_bit
-  std::vector<std::vector<std::uint8_t>> survivor(
-      n_out, std::vector<std::uint8_t>(kStates, 0));
-  std::vector<std::vector<std::uint8_t>> prev_state(
-      n_out, std::vector<std::uint8_t>(kStates, 0));
+  // Flat planes, one kStates-wide row per trellis step: the survivor's
+  // input bit and predecessor state for each next state. Unreachable
+  // states keep their initial zeros.
+  std::vector<std::uint8_t> survivor(n_out * kStates, 0);
+  std::vector<std::uint8_t> prev_state(n_out * kStates, 0);
 
   for (std::size_t t = 0; t < n_out; ++t) {
-    std::fill(next_metric.begin(), next_metric.end(), kInf);
     const std::uint8_t ra = stream[2 * t];
     const std::uint8_t rb = stream[2 * t + 1];
     const bool ka = known[2 * t];
     const bool kb = known[2 * t + 1];
-    for (unsigned s = 0; s < kStates; ++s) {
-      if (metric[s] >= kInf) continue;
-      for (unsigned b = 0; b < 2; ++b) {
-        const Branch& br = table[s][b];
-        unsigned m = metric[s];
-        if (ka && br.out_a != ra) ++m;
-        if (kb && br.out_b != rb) ++m;
-        if (m < next_metric[br.next]) {
-          next_metric[br.next] = m;
-          prev_state[t][br.next] = static_cast<std::uint8_t>(s);
-          survivor[t][br.next] = static_cast<std::uint8_t>(b);
+    // Branch cost by (out_a << 1) | out_b: known bits that disagree.
+    std::array<unsigned, 4> cost{};
+    for (unsigned o = 0; o < 4; ++o) {
+      cost[o] = static_cast<unsigned>(ka && (o >> 1) != ra) +
+                static_cast<unsigned>(kb && (o & 1u) != rb);
+    }
+    std::uint8_t* surv = survivor.data() + t * kStates;
+    std::uint8_t* prev = prev_state.data() + t * kStates;
+    // Add-compare-select in the order a source-major sweep visits each
+    // next state: the lower predecessor first, replaced only by a
+    // strictly better metric, so ties keep the lower predecessor.
+    for (unsigned ns = 0; ns < kStates; ++ns) {
+      const unsigned s0 = 2 * (ns & 31);
+      unsigned best = kInf;
+      for (unsigned p = 0; p < 2; ++p) {
+        const unsigned s = s0 + p;
+        if (metric[s] >= kInf) continue;
+        const unsigned m = metric[s] + cost[kOut[ns][p]];
+        if (m < best) {
+          best = m;
+          prev[ns] = static_cast<std::uint8_t>(s);
+          surv[ns] = static_cast<std::uint8_t>(ns >> 5);
         }
       }
+      next_metric[ns] = best;
     }
-    metric.swap(next_metric);
+    std::swap(metric, next_metric);
   }
 
   // Trace back from the best final state (with 802.11 tail bits the true
@@ -161,8 +173,8 @@ Bits viterbi_decode(const Bits& coded, std::size_t n_out, CodeRate rate) {
   Bits out(n_out);
   unsigned s = best;
   for (std::size_t t = n_out; t-- > 0;) {
-    out[t] = survivor[t][s];
-    s = prev_state[t][s];
+    out[t] = survivor[t * kStates + s];
+    s = prev_state[t * kStates + s];
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #include "sa/secure/accesspoint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "sa/aoa/covariance.hpp"
@@ -74,10 +75,25 @@ AccessPoint::AccessPoint(AccessPointConfig config, Rng& rng)
     const Calibrator cal(config_.calibrator);
     calibration_ = cal.run(impairments_, rng);
   }
+  const ArrayGeometry scan =
+      scan_geometry(config_.geometry, estimator_->spectral_options());
+  manifolds_.reserve(config_.subbands);
+  for (std::size_t b = 0; b < config_.subbands; ++b) {
+    manifolds_.emplace_back(scan, band_wavelength_m(b),
+                            config_.music.scan_step_deg);
+  }
 }
 
 double AccessPoint::wavelength_m() const {
   return wavelength(config_.carrier_hz);
+}
+
+double AccessPoint::band_wavelength_m(std::size_t band) const {
+  const std::size_t k = config_.subbands;
+  if (k <= 1) return wavelength_m();
+  const double offset_hz = (static_cast<double>(band) - k / 2.0) *
+                           config_.sample_rate_hz / static_cast<double>(k);
+  return wavelength(config_.carrier_hz + offset_hz);
 }
 
 ArrayPlacement AccessPoint::placement() const {
@@ -124,8 +140,10 @@ std::vector<PacketDetection> AccessPoint::detect(const CMat& conditioned) const 
 
 MusicResult AccessPoint::music_from_samples(const CMat& packet_samples) const {
   SA_EXPECTS(packet_samples.rows() == config_.geometry.size());
-  const CMat r = sample_covariance(packet_samples);
-  return estimator_->estimate(r, config_.geometry, wavelength_m());
+  return estimator_->estimate(
+      SpectralContext(sample_covariance(packet_samples), config_.geometry,
+                      wavelength_m(), estimator_->spectral_options(),
+                      &manifolds_[config_.subbands / 2]));
 }
 
 AoaSignature AccessPoint::signature_from_samples(
@@ -182,7 +200,8 @@ std::optional<AccessPoint::FramePrep> AccessPoint::prepare(
     // accumulated straight off the shared conditioned window — no
     // per-frame block copy.
     prep.bands.emplace_back(sample_covariance_cols(conditioned, det.start, end),
-                            config_.geometry, wavelength_m(), opts);
+                            config_.geometry, wavelength_m(), opts,
+                            &manifolds_[num_bands / 2]);
     return prep;
   }
 
@@ -190,33 +209,27 @@ std::optional<AccessPoint::FramePrep> AccessPoint::prepare(
   // K-sample windows turns the packet into n_win snapshots per subband;
   // each subband gets its own covariance and its own centre wavelength.
   // Bands are ordered by ascending frequency (fftshift order), so band
-  // K/2 is the carrier. The window and subband snapshot matrices come
-  // from the per-worker scratch when one is provided.
+  // K/2 is the carrier: FFT bin j lands in band (j + K/2) % K. One pass
+  // per antenna reads the conditioned row in place and writes each
+  // window's bins straight into the subband snapshot matrices, which
+  // come from the per-worker FrameScratch when one is provided.
   const std::size_t k = num_bands;
   std::vector<CMat> local_sub;
   std::vector<CMat>& sub = scratch ? scratch->sub : local_sub;
   if (sub.size() < k) sub.resize(k);
   for (std::size_t b = 0; b < k; ++b) sub[b].resize(conditioned.rows(), n_win);
-  CVec local_window;
-  CVec& window = scratch ? scratch->window : local_window;
-  window.resize(k);
+  std::array<cd*, 64> bins{};  // K <= 64, checked at construction
   for (std::size_t m = 0; m < conditioned.rows(); ++m) {
-    for (std::size_t t = 0; t < n_win; ++t) {
-      for (std::size_t i = 0; i < k; ++i) {
-        window[i] = conditioned(m, det.start + t * k + i);
-      }
-      fft_inplace(window);
-      for (std::size_t b = 0; b < k; ++b) {
-        sub[b](m, t) = window[(b + k / 2) % k];
-      }
+    for (std::size_t j = 0; j < k; ++j) {
+      bins[j] = sub[(j + k / 2) % k].raw() + m * n_win;
     }
+    fft_windows(conditioned.raw() + m * conditioned.cols() + det.start, k,
+                n_win, bins.data());
   }
   prep.bands.reserve(k);
   for (std::size_t b = 0; b < k; ++b) {
-    const double offset_hz = (static_cast<double>(b) - k / 2.0) *
-                             config_.sample_rate_hz / static_cast<double>(k);
     prep.bands.emplace_back(sample_covariance(sub[b]), config_.geometry,
-                            wavelength(config_.carrier_hz + offset_hz), opts);
+                            band_wavelength_m(b), opts, &manifolds_[b]);
   }
   return prep;
 }
@@ -224,13 +237,6 @@ std::optional<AccessPoint::FramePrep> AccessPoint::prepare(
 MusicResult AccessPoint::estimate_band(const FramePrep& prep,
                                        std::size_t band) const {
   SA_EXPECTS(band < prep.bands.size());
-  if (!config_.share_spectral_cache) {
-    // A/B knob: rebuild a cold context so every consumer pays for its
-    // own decomposition, like the pre-context pipeline did.
-    const SpectralContext& ctx = prep.bands[band];
-    return estimator_->estimate(SpectralContext(
-        ctx.covariance(), ctx.geometry(), ctx.lambda_m(), ctx.options()));
-  }
   return estimator_->estimate(prep.bands[band]);
 }
 
@@ -272,15 +278,9 @@ ReceivedPacket AccessPoint::assemble(
   pkt.music = std::move(band_results[centre]);
 
   if (config_.power_weighted_bearing) {
-    if (config_.share_spectral_cache) {
-      pkt.bearing_array_deg = power_weighted_direct_bearing_with_inverse_deg(
-          pkt.signature.spectrum(), pkt.signature.peaks(), ctx.inverse(1e-3),
-          config_.geometry, ctx.lambda_m());
-    } else {
-      pkt.bearing_array_deg = power_weighted_direct_bearing_deg(
-          pkt.signature.spectrum(), pkt.signature.peaks(), ctx.covariance(),
-          config_.geometry, ctx.lambda_m());
-    }
+    pkt.bearing_array_deg = power_weighted_direct_bearing_with_inverse_deg(
+        pkt.signature.spectrum(), pkt.signature.peaks(), ctx.inverse(1e-3),
+        config_.geometry, ctx.lambda_m());
   } else {
     pkt.bearing_array_deg = pkt.signature.direct_bearing_deg();
   }

@@ -1,0 +1,623 @@
+// Bit-identity of the per-frame kernels that run from precomputed
+// tables — the steering manifold behind the MUSIC/Capon/Bartlett scans,
+// the FFT plans, the one-pass subband split, the flat-plane Viterbi
+// decoder and the peak search — against straightforward references
+// kept here: per-grid-point steering_vector + quadratic_form, the
+// inline twiddle recurrence, per-window fft_inplace, the per-step
+// vector Viterbi and the modulo-wrapped peak walk. Every comparison is
+// exact (EXPECT_EQ on doubles): the tables may only save work, never
+// change a bit of output.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
+
+#include "sa/aoa/covariance.hpp"
+#include "sa/aoa/estimator.hpp"
+#include "sa/aoa/estimators.hpp"
+#include "sa/aoa/manifold.hpp"
+#include "sa/aoa/spectral.hpp"
+#include "sa/common/angles.hpp"
+#include "sa/common/constants.hpp"
+#include "sa/common/rng.hpp"
+#include "sa/dsp/fft.hpp"
+#include "sa/dsp/units.hpp"
+#include "sa/linalg/lu.hpp"
+#include "sa/phy/convolutional.hpp"
+#include "sa/phy/ofdm.hpp"
+#include "sa/secure/accesspoint.hpp"
+
+namespace sa {
+namespace {
+
+void expect_same(const CVec& a, const CVec& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].real(), b[i].real()) << "index " << i;
+    EXPECT_EQ(a[i].imag(), b[i].imag()) << "index " << i;
+  }
+}
+
+void expect_same(const CMat& a, const CMat& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  expect_same(a.data(), b.data());
+}
+
+void expect_same(const Pseudospectrum& a, const Pseudospectrum& b) {
+  EXPECT_EQ(a.wraps(), b.wraps());
+  EXPECT_EQ(a.angles_deg(), b.angles_deg());
+  EXPECT_EQ(a.values(), b.values());
+}
+
+// ------------------------------------------------------------- spectra
+
+/// Sample covariance of a few sources plus noise — a full-rank
+/// Hermitian matrix with realistic structure.
+CMat random_covariance(const ArrayGeometry& geom, double lambda, Rng& rng) {
+  const std::size_t n = geom.size();
+  CMat x(n, 64);
+  const double bearings[] = {geom.scan_min_deg() + 37.0,
+                             geom.scan_min_deg() + 101.0};
+  for (std::size_t t = 0; t < x.cols(); ++t) {
+    for (double b : bearings) {
+      const CVec a = geom.steering_vector(b, lambda);
+      const cd sym = rng.random_phasor();
+      for (std::size_t m = 0; m < n; ++m) x(m, t) += a[m] * sym;
+    }
+    for (std::size_t m = 0; m < n; ++m) x(m, t) += rng.complex_normal(0.1);
+  }
+  return sample_covariance(x);
+}
+
+/// The per-grid-point reference scan: allocate each steering vector and
+/// evaluate sa::quadratic_form on it.
+template <class Value>
+Pseudospectrum reference_scan(const ArrayGeometry& geom, double lambda,
+                              double step, Value value) {
+  const std::vector<double> grid = scan_grid(geom, step);
+  std::vector<double> values(grid.size());
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    values[g] = value(geom.steering_vector(grid[g], lambda));
+  }
+  return Pseudospectrum(grid, std::move(values),
+                        geom.kind() != ArrayKind::kLinear);
+}
+
+Pseudospectrum reference_music(const SpectralContext& ctx, std::size_t k,
+                               double step) {
+  const CMat& proj = ctx.noise_projector(k);
+  return reference_scan(ctx.processed_geometry(), ctx.lambda_m(), step,
+                        [&](const CVec& a) {
+                          const double denom = quadratic_form(a, proj);
+                          const double num = norm(a) * norm(a);
+                          return num / std::max(denom, 1e-12 * num);
+                        });
+}
+
+Pseudospectrum reference_capon(const CMat& rinv, const ArrayGeometry& geom,
+                               double lambda, double step) {
+  return reference_scan(geom, lambda, step, [&](const CVec& a) {
+    return 1.0 / std::max(quadratic_form(a, rinv), 1e-30);
+  });
+}
+
+Pseudospectrum reference_bartlett(const CMat& r, const ArrayGeometry& geom,
+                                  double lambda, double step) {
+  return reference_scan(geom, lambda, step, [&](const CVec& a) {
+    return std::max(quadratic_form(a, r), 0.0) / (norm(a) * norm(a));
+  });
+}
+
+struct SpectrumCase {
+  const char* name;
+  ArrayGeometry geom;
+  SpectralOptions options;
+};
+
+std::vector<SpectrumCase> spectrum_cases() {
+  const double half = kSpeedOfLight / 2.4e9 / 2.0;
+  return {
+      {"ula8-smooth5-fb", ArrayGeometry::uniform_linear(8, half), {true, 5}},
+      {"ula6-fb", ArrayGeometry::uniform_linear(6, half), {true, 0}},
+      {"ula4-plain", ArrayGeometry::uniform_linear(4, half), {false, 0}},
+      {"uca5", ArrayGeometry::uniform_circular(5, 0.05), {true, 0}},
+      {"octagon", ArrayGeometry::octagon(), {true, 0}},
+      {"custom", ArrayGeometry::custom({{0.0, 0.0}, {0.041, 0.007},
+                                        {-0.013, 0.052}, {0.029, -0.038}}),
+       {false, 0}},
+  };
+}
+
+TEST(ManifoldSpectra, BitIdenticalToPerPointSteering) {
+  Rng rng(2024);
+  const double lambdas[] = {kSpeedOfLight / 2.4e9, kSpeedOfLight / 2.39e9,
+                            kSpeedOfLight / 5.2e9};
+  const double steps[] = {1.0, 0.5, 2.5, 0.7};
+  for (const SpectrumCase& c : spectrum_cases()) {
+    for (double lambda : lambdas) {
+      for (double step : steps) {
+        SCOPED_TRACE(std::string(c.name) + " lambda=" + std::to_string(lambda) +
+                     " step=" + std::to_string(step));
+        const CMat r = random_covariance(c.geom, lambda, rng);
+        AoaEstimatorConfig cfg;
+        cfg.music.scan_step_deg = step;
+        cfg.music.forward_backward = c.options.forward_backward;
+        cfg.music.smoothing_subarray = c.options.smoothing_subarray;
+        // The table an AccessPoint would build for this band.
+        const SteeringManifold borrowed(scan_geometry(c.geom, c.options),
+                                        lambda, step);
+        for (AoaBackend backend : {AoaBackend::kMusic, AoaBackend::kCapon,
+                                   AoaBackend::kBartlett}) {
+          const auto est = make_aoa_estimator(backend, cfg);
+          const SpectralContext with(r, c.geom, lambda, c.options, &borrowed);
+          const SpectralContext without(r, c.geom, lambda, c.options);
+          const MusicResult a = est->estimate(with);
+          const MusicResult b = est->estimate(without);
+          Pseudospectrum expected;
+          if (backend == AoaBackend::kMusic) {
+            expected = reference_music(without, b.num_sources, step);
+            EXPECT_EQ(a.num_sources, b.num_sources);
+          } else if (backend == AoaBackend::kCapon) {
+            expected = reference_capon(without.inverse(cfg.capon_loading),
+                                       c.geom, lambda, step);
+          } else {
+            expected = reference_bartlett(r, c.geom, lambda, step);
+          }
+          expect_same(a.spectrum, expected);
+          expect_same(b.spectrum, expected);
+        }
+        // The free functions build their manifold on the spot.
+        expect_same(bartlett_spectrum(r, c.geom, lambda, step),
+                    reference_bartlett(r, c.geom, lambda, step));
+        CMat loaded = r;
+        diagonal_load_inplace(loaded, 1e-3);
+        expect_same(capon_spectrum(r, c.geom, lambda, step, 1e-3),
+                    reference_capon(*inverse(loaded), c.geom, lambda, step));
+      }
+    }
+  }
+}
+
+TEST(ManifoldSpectra, MismatchedBorrowedManifoldIsNotUsed) {
+  Rng rng(7);
+  const ArrayGeometry geom = ArrayGeometry::octagon();
+  const double lambda = kSpeedOfLight / 2.4e9;
+  const CMat r = random_covariance(geom, lambda, rng);
+  const MusicEstimator music;
+  const SpectralContext plain(r, geom, lambda, music.spectral_options());
+  const MusicResult expected = music.estimate(plain);
+  // Wrong wavelength, wrong step, wrong geometry: each must be rejected
+  // in favour of a table built for the context.
+  const SteeringManifold wrong[] = {
+      {geom, lambda * 1.01, 1.0},
+      {geom, lambda, 2.0},
+      {ArrayGeometry::uniform_circular(8, 0.06), lambda, 1.0},
+  };
+  for (const SteeringManifold& m : wrong) {
+    EXPECT_FALSE(m.matches(geom, lambda, 1.0));
+    const SpectralContext ctx(r, geom, lambda, music.spectral_options(), &m);
+    expect_same(music.estimate(ctx).spectrum, expected.spectrum);
+  }
+  const SteeringManifold right(geom, lambda, 1.0);
+  EXPECT_TRUE(right.matches(geom, lambda, 1.0));
+  EXPECT_EQ(right.grid(), scan_grid(geom, 1.0));
+  ASSERT_EQ(right.elements(), geom.size());
+  for (std::size_t g = 0; g < right.size(); ++g) {
+    const CVec a = geom.steering_vector(right.grid()[g], lambda);
+    expect_same(CVec(right.row(g), right.row(g) + right.elements()), a);
+    EXPECT_EQ(right.norm_sq(g), norm(a) * norm(a));
+  }
+}
+
+// ----------------------------------------------------------------- FFT
+
+/// The transform as written before the plans: swap-loop bit reversal,
+/// twiddles from the w *= wlen recurrence inside the butterflies.
+void reference_fft(CVec& x, bool inverse) {
+  const std::size_t n = x.size();
+  std::size_t j = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(x[i], x[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle =
+        (inverse ? kTwoPi : -kTwoPi) / static_cast<double>(len);
+    const cd wlen{std::cos(angle), std::sin(angle)};
+    for (std::size_t i = 0; i < n; i += len) {
+      cd w{1.0, 0.0};
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const cd u = x[i + k];
+        const cd v = x[i + k + len / 2] * w;
+        x[i + k] = u + v;
+        x[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (cd& v : x) v *= inv_n;
+  }
+}
+
+CVec random_vec(std::size_t n, Rng& rng) {
+  CVec x(n);
+  for (cd& v : x) v = rng.complex_normal(1.0);
+  return x;
+}
+
+TEST(FftPlans, BitIdenticalToRecurrence) {
+  Rng rng(99);
+  for (std::size_t n = 1; n <= 1024; n <<= 1) {
+    for (int rep = 0; rep < 3; ++rep) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      const CVec x = random_vec(n, rng);
+      CVec fwd = x, fwd_ref = x, inv = x, inv_ref = x;
+      fft_inplace(fwd);
+      reference_fft(fwd_ref, false);
+      expect_same(fwd, fwd_ref);
+      ifft_inplace(inv);
+      reference_fft(inv_ref, true);
+      expect_same(inv, inv_ref);
+    }
+  }
+}
+
+TEST(FftPlans, WindowedSplitMatchesPerWindowFft) {
+  Rng rng(5);
+  for (std::size_t k : {2u, 4u, 8u, 64u}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    const std::size_t count = 13;
+    const CVec in = random_vec(k * count + 3, rng);  // trailing samples unread
+    std::vector<CVec> out(k, CVec(count));
+    std::vector<cd*> bins(k);
+    for (std::size_t j = 0; j < k; ++j) bins[j] = out[j].data();
+    fft_windows(in.data(), k, count, bins.data());
+    for (std::size_t t = 0; t < count; ++t) {
+      CVec window(in.begin() + static_cast<std::ptrdiff_t>(t * k),
+                  in.begin() + static_cast<std::ptrdiff_t>((t + 1) * k));
+      fft_inplace(window);
+      for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_EQ(out[j][t].real(), window[j].real());
+        EXPECT_EQ(out[j][t].imag(), window[j].imag());
+      }
+    }
+  }
+}
+
+TEST(FftPlans, AccessPointSubbandSplitMatchesPerWindowFft) {
+  for (std::size_t k : {2u, 4u, 8u, 64u}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    AccessPointConfig cfg;
+    cfg.geometry = ArrayGeometry::uniform_circular(4, 0.06);
+    cfg.subbands = k;
+    Rng rng(31);
+    const AccessPoint ap(cfg, rng);
+    CMat conditioned(4, 900);
+    for (std::size_t m = 0; m < conditioned.rows(); ++m) {
+      for (std::size_t c = 0; c < conditioned.cols(); ++c) {
+        conditioned(m, c) = rng.complex_normal(1.0);
+      }
+    }
+    PacketDetection det;
+    det.start = 37;
+    const auto prep = ap.prepare(conditioned, det);
+    ASSERT_TRUE(prep.has_value());
+    ASSERT_FALSE(prep->phy.has_value());  // noise: the fallback span
+    ASSERT_EQ(prep->bands.size(), k);
+    // The split as written before: copy each window, fft_inplace it,
+    // scatter in fftshift order.
+    const std::size_t span = kPreambleLen + kSymbolLen;
+    const std::size_t n_win = span / k;
+    std::vector<CMat> sub(k, CMat(conditioned.rows(), n_win));
+    CVec window(k);
+    for (std::size_t m = 0; m < conditioned.rows(); ++m) {
+      for (std::size_t t = 0; t < n_win; ++t) {
+        for (std::size_t i = 0; i < k; ++i) {
+          window[i] = conditioned(m, det.start + t * k + i);
+        }
+        reference_fft(window, false);
+        for (std::size_t b = 0; b < k; ++b) {
+          sub[b](m, t) = window[(b + k / 2) % k];
+        }
+      }
+    }
+    for (std::size_t b = 0; b < k; ++b) {
+      expect_same(prep->bands[b].covariance(), sample_covariance(sub[b]));
+    }
+  }
+}
+
+// ------------------------------------------------------------- Viterbi
+
+std::uint8_t ref_parity7(unsigned x) {
+  x &= 0x7F;
+  x ^= x >> 4;
+  x ^= x >> 2;
+  x ^= x >> 1;
+  return static_cast<std::uint8_t>(x & 1u);
+}
+
+bool ref_keep_bit(CodeRate rate, std::size_t coded_index) {
+  constexpr std::array<bool, 6> k34 = {true, true, true, false, false, true};
+  constexpr std::array<bool, 4> k23 = {true, true, true, false};
+  switch (rate) {
+    case CodeRate::kRate1_2: return true;
+    case CodeRate::kRate2_3: return k23[coded_index % 4];
+    case CodeRate::kRate3_4: return k34[coded_index % 6];
+  }
+  return true;
+}
+
+/// The decoder as written before the flat planes: source-major
+/// add-compare-select with two vectors per trellis step.
+Bits reference_viterbi(const Bits& coded, std::size_t n_out, CodeRate rate) {
+  constexpr unsigned kStates = 64;
+  std::vector<std::uint8_t> stream(2 * n_out, 0);
+  std::vector<bool> known(2 * n_out, false);
+  std::size_t src = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (ref_keep_bit(rate, i)) {
+      stream[i] = coded[src++];
+      known[i] = true;
+    }
+  }
+  struct Branch {
+    std::uint8_t out_a, out_b;
+    unsigned next;
+  };
+  std::array<std::array<Branch, 2>, kStates> table{};
+  for (unsigned s = 0; s < kStates; ++s) {
+    for (unsigned b = 0; b < 2; ++b) {
+      const unsigned reg = (b << 6) | s;
+      table[s][b] = Branch{ref_parity7(reg & 0133), ref_parity7(reg & 0171),
+                           (reg >> 1) & 0x3F};
+    }
+  }
+  constexpr unsigned kInf = std::numeric_limits<unsigned>::max() / 4;
+  std::vector<unsigned> metric(kStates, kInf);
+  std::vector<unsigned> next_metric(kStates, kInf);
+  metric[0] = 0;
+  std::vector<std::vector<std::uint8_t>> survivor(
+      n_out, std::vector<std::uint8_t>(kStates, 0));
+  std::vector<std::vector<std::uint8_t>> prev_state(
+      n_out, std::vector<std::uint8_t>(kStates, 0));
+  for (std::size_t t = 0; t < n_out; ++t) {
+    std::fill(next_metric.begin(), next_metric.end(), kInf);
+    const std::uint8_t ra = stream[2 * t];
+    const std::uint8_t rb = stream[2 * t + 1];
+    const bool ka = known[2 * t];
+    const bool kb = known[2 * t + 1];
+    for (unsigned s = 0; s < kStates; ++s) {
+      if (metric[s] >= kInf) continue;
+      for (unsigned b = 0; b < 2; ++b) {
+        const Branch& br = table[s][b];
+        unsigned m = metric[s];
+        if (ka && br.out_a != ra) ++m;
+        if (kb && br.out_b != rb) ++m;
+        if (m < next_metric[br.next]) {
+          next_metric[br.next] = m;
+          prev_state[t][br.next] = static_cast<std::uint8_t>(s);
+          survivor[t][br.next] = static_cast<std::uint8_t>(b);
+        }
+      }
+    }
+    metric.swap(next_metric);
+  }
+  unsigned best = 0;
+  for (unsigned s = 1; s < kStates; ++s) {
+    if (metric[s] < metric[best]) best = s;
+  }
+  Bits out(n_out);
+  unsigned s = best;
+  for (std::size_t t = n_out; t-- > 0;) {
+    out[t] = survivor[t][s];
+    s = prev_state[t][s];
+  }
+  return out;
+}
+
+TEST(FlatViterbi, BitIdenticalToPerStepDecoder) {
+  Rng rng(1234);
+  std::size_t decoded = 0;
+  for (CodeRate rate :
+       {CodeRate::kRate1_2, CodeRate::kRate2_3, CodeRate::kRate3_4}) {
+    for (std::size_t n : {6u, 24u, 96u, 846u}) {
+      for (double ber : {0.0, 0.02, 0.08, 0.5}) {
+        for (bool tail : {true, false}) {
+          SCOPED_TRACE("n=" + std::to_string(n) +
+                       " ber=" + std::to_string(ber) +
+                       " tail=" + std::to_string(tail));
+          // With the 802.11 tail the encoder ends in state 0; without it
+          // (a truncated stream) the traceback starts from the best of
+          // all final states.
+          Bits bits(n);
+          for (auto& b : bits) {
+            b = static_cast<std::uint8_t>(rng.uniform_int(0, 1));
+          }
+          if (tail) std::fill(bits.end() - 6, bits.end(), 0);
+          Bits coded = convolutional_encode(bits, rate);
+          for (auto& c : coded) {
+            if (rng.uniform() < ber) c ^= 1u;
+          }
+          EXPECT_EQ(viterbi_decode(coded, n, rate),
+                    reference_viterbi(coded, n, rate));
+          ++decoded;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(decoded, 96u);
+}
+
+// --------------------------------------------------------- peak search
+
+/// find_peaks as written before: ((i % n) + n) % n on every step.
+std::vector<SpectrumPeak> reference_find_peaks(const Pseudospectrum& spec,
+                                               double min_prominence_db,
+                                               double min_separation_deg) {
+  const std::vector<double>& values = spec.values();
+  const std::vector<double>& angles = spec.angles_deg();
+  const bool wraps = spec.wraps();
+  const std::size_t n = values.size();
+  const double peak_val = spec.max_value();
+  if (peak_val <= 0.0) return {};
+  auto at = [&](std::ptrdiff_t i) -> double {
+    if (wraps) {
+      const auto m = static_cast<std::ptrdiff_t>(n);
+      return values[static_cast<std::size_t>(((i % m) + m) % m)];
+    }
+    if (i < 0 || i >= static_cast<std::ptrdiff_t>(n)) return -1.0;
+    return values[static_cast<std::size_t>(i)];
+  };
+  std::vector<SpectrumPeak> peaks;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = values[i];
+    const auto si = static_cast<std::ptrdiff_t>(i);
+    if (!(v > at(si - 1) && v >= at(si + 1))) continue;
+    auto walk = [&](int dir) -> double {
+      double valley = v;
+      for (std::size_t s = 1; s < n; ++s) {
+        const double w = at(si + dir * static_cast<std::ptrdiff_t>(s));
+        if (w < 0.0) break;
+        valley = std::min(valley, w);
+        if (w > v) return valley;
+      }
+      return valley;
+    };
+    const double valley = std::max(walk(-1), walk(+1));
+    const double prom_db = to_db(v / std::max(valley, 1e-30));
+    if (prom_db < min_prominence_db) continue;
+    SpectrumPeak p;
+    p.angle_deg = angles[i];
+    p.value = v;
+    p.value_db = to_db(v / peak_val);
+    p.prominence_db = prom_db;
+    peaks.push_back(p);
+  }
+  std::sort(peaks.begin(), peaks.end(),
+            [](const SpectrumPeak& a, const SpectrumPeak& b) {
+              return a.value > b.value;
+            });
+  std::vector<SpectrumPeak> out;
+  for (const auto& p : peaks) {
+    bool keep = true;
+    for (const auto& q : out) {
+      const double d = wraps ? angular_distance_deg(p.angle_deg, q.angle_deg)
+                             : std::abs(p.angle_deg - q.angle_deg);
+      if (d < min_separation_deg) {
+        keep = false;
+        break;
+      }
+    }
+    if (keep) out.push_back(p);
+  }
+  return out;
+}
+
+double reference_refined_max(const Pseudospectrum& spec) {
+  const std::vector<double>& values = spec.values();
+  const auto it = std::max_element(values.begin(), values.end());
+  const auto i = static_cast<std::size_t>(it - values.begin());
+  const auto si = static_cast<std::ptrdiff_t>(i);
+  const std::size_t n = values.size();
+  auto at = [&](std::ptrdiff_t k) -> double {
+    if (spec.wraps()) {
+      const auto m = static_cast<std::ptrdiff_t>(n);
+      return values[static_cast<std::size_t>(((k % m) + m) % m)];
+    }
+    if (k < 0 || k >= static_cast<std::ptrdiff_t>(n)) return values[i];
+    return values[static_cast<std::size_t>(k)];
+  };
+  const double y0 = at(si - 1), y1 = at(si), y2 = at(si + 1);
+  const double denom = y0 - 2.0 * y1 + y2;
+  double offset = 0.0;
+  if (std::abs(denom) > 1e-30) {
+    offset = 0.5 * (y0 - y2) / denom;
+    offset = std::clamp(offset, -1.0, 1.0);
+  }
+  double angle = spec.angles_deg()[i] + offset * spec.step_deg();
+  if (spec.wraps()) angle = wrap_deg360(angle);
+  return angle;
+}
+
+std::vector<Pseudospectrum> peak_cases() {
+  std::vector<Pseudospectrum> out;
+  Rng rng(77);
+  for (bool wraps : {true, false}) {
+    const double lo = wraps ? 0.0 : -90.0;
+    const std::size_t n = wraps ? 360 : 181;
+    std::vector<double> angles(n);
+    for (std::size_t i = 0; i < n; ++i) angles[i] = lo + static_cast<double>(i);
+    auto add = [&](std::vector<double> v) {
+      out.emplace_back(angles, std::move(v), wraps);
+    };
+    std::vector<double> v(n);
+    // Smooth random multi-peak spectra.
+    for (int rep = 0; rep < 4; ++rep) {
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = 1.0 + 0.8 * std::sin(0.07 * static_cast<double>(i) * (rep + 1)) +
+               0.3 * rng.uniform();
+      }
+      add(v);
+    }
+    // Plateaus and exact ties: coarse quantization of a random walk.
+    for (int rep = 0; rep < 4; ++rep) {
+      double level = 5.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        level = std::max(0.0, level + rng.uniform(-1.0, 1.0));
+        v[i] = std::floor(level);
+      }
+      add(v);
+    }
+    // Peaks at both ends (the wrap seam), two equal maxima, a flat
+    // spectrum and an all-zero one.
+    std::fill(v.begin(), v.end(), 1.0);
+    v.front() = 9.0;
+    v.back() = 8.0;
+    v[n / 2] = 9.0;
+    add(v);
+    std::fill(v.begin(), v.end(), 1.0);
+    v[1] = 4.0;
+    v[n - 2] = 4.0;
+    v[0] = 3.0;
+    add(v);
+    std::fill(v.begin(), v.end(), 2.0);
+    add(v);
+    std::fill(v.begin(), v.end(), 0.0);
+    add(v);
+  }
+  return out;
+}
+
+TEST(PeakSearch, ConditionalWrapMatchesModuloWalk) {
+  std::size_t peaks_seen = 0;
+  for (const Pseudospectrum& spec : peak_cases()) {
+    SCOPED_TRACE("wraps=" + std::to_string(spec.wraps()));
+    for (double prom : {0.0, 1.0, 3.0}) {
+      for (double sep : {0.0, 5.0, 20.0}) {
+        const auto got = spec.find_peaks(prom, sep);
+        const auto want = reference_find_peaks(spec, prom, sep);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].angle_deg, want[i].angle_deg);
+          EXPECT_EQ(got[i].value, want[i].value);
+          EXPECT_EQ(got[i].value_db, want[i].value_db);
+          EXPECT_EQ(got[i].prominence_db, want[i].prominence_db);
+        }
+        peaks_seen += got.size();
+      }
+    }
+    EXPECT_EQ(spec.refined_max_angle_deg(), reference_refined_max(spec));
+  }
+  EXPECT_GT(peaks_seen, 100u);
+}
+
+}  // namespace
+}  // namespace sa

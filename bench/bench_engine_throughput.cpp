@@ -1,10 +1,11 @@
-// DeploymentEngine throughput: frames/sec of the batched multi-threaded
-// frame-decision pipeline versus thread count, AoA backend, wideband
-// subband count, and policy-chain length, on the Figure-4 office with a
-// 4-AP deployment.
+// Engine throughput: frames/sec of the EngineSession frame-decision
+// pipeline run lock-step (each round's decisions out before the next is
+// submitted) versus thread count, AoA backend, wideband subband count,
+// and policy-chain length, on the Figure-4 office with a 4-AP
+// deployment.
 //
 // The workload (channel-simulated uplink chunks) is generated once and
-// replayed against a fresh engine per configuration, so the numbers
+// replayed against a fresh session per configuration, so the numbers
 // isolate the receive pipeline itself: conditioning, detection, PHY
 // decode, covariance, AoA estimation, grouping, and the fence/spoof
 // decision — not the channel simulator.
@@ -14,12 +15,12 @@
 //                                [packets-per-client] [max-threads]
 //   --smoke      minimal workload (1 packet/client, 2 threads, short
 //                sweeps) so CI can execute every section on each PR.
-//   --pipelined  add the batch-vs-EngineSession sweep: the same
-//                multi-round workload through the lock-step engine and
-//                through a pipelined session, per thread count. The
-//                session overlapping round N+1's scan/decode with round
-//                N's decode/AoA/policy phase is the whole point — the
-//                round-boundary bubble of the batch path is gone.
+//   --pipelined  add the lock-step-vs-pipelined sweep: the same
+//                multi-round workload through a lock-step session and
+//                through a pipelined one (every round pushed without
+//                waiting), per thread count. Pipelining overlaps round
+//                N+1's scan/decode with round N's decisions, removing
+//                the lock-step round-boundary bubble.
 //   --json PATH  additionally write every sweep's numbers as a JSON
 //                document — the machine-readable perf baseline
 //                (BENCH_<pr>.json in the repo root is captured this way)
@@ -64,7 +65,6 @@
 #include "sa/common/compact/flat_lru_map.hpp"
 #include "sa/common/compact/mac_prefilter.hpp"
 #include "sa/common/compact/timer_wheel.hpp"
-#include "sa/engine/deployment.hpp"
 #include "sa/engine/session.hpp"
 #include "sa/mac/acl.hpp"
 
@@ -89,36 +89,26 @@ std::size_t affinity_cpu_count() {
   return hw > 0 ? hw : 1;
 }
 
-double run_once(DeploymentEngine& engine,
-                const std::vector<std::vector<CMat>>& rounds,
-                std::size_t* frames_out) {
+/// One timed run over `rounds`, then a drain. Lock-step waits each
+/// round's decisions out before submitting the next; otherwise every
+/// round is pushed without waiting (the pipelined schedule). The session
+/// is built and closed outside the timed region.
+double run_once(const EngineConfig& ecfg, const std::vector<AccessPoint*>& ptrs,
+                const std::vector<std::vector<CMat>>& rounds, bool lockstep,
+                std::size_t* frames_out, SessionStats* stats_out = nullptr) {
+  SessionConfig scfg;
+  scfg.engine = ecfg;
   std::size_t frames = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& round : rounds) {
-    frames += engine.ingest(round).size();
-  }
-  frames += engine.flush().size();
-  const auto t1 = std::chrono::steady_clock::now();
-  *frames_out = frames;
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Push every round without waiting, then drain: the pipelined schedule.
-double run_session_once(const SessionConfig& scfg,
-                        const std::vector<AccessPoint*>& ptrs,
-                        const std::vector<std::vector<CMat>>& rounds,
-                        std::size_t* frames_out, SessionStats* stats_out) {
-  std::size_t frames = 0;
-  EngineSession session(scfg, ptrs,
-                        [&](const EngineDecision&) { ++frames; });
+  EngineSession session(scfg, ptrs, [&](const EngineDecision&) { ++frames; });
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto& round : rounds) {
     session.submit_round(round);
+    if (lockstep) session.wait_idle();
   }
   session.drain();
   const auto t1 = std::chrono::steady_clock::now();
   *frames_out = frames;
-  *stats_out = session.session_stats();
+  if (stats_out != nullptr) *stats_out = session.session_stats();
   session.close();
   return std::chrono::duration<double>(t1 - t0).count();
 }
@@ -202,7 +192,7 @@ struct CountingAlloc {
 #endif
     return static_cast<T*>(p);
   }
-  void deallocate(T* p, std::size_t n) {
+  void deallocate(T* p, [[maybe_unused]] std::size_t n) {
 #if defined(__linux__)
     g_baseline_heap -= malloc_usable_size(p) + 8;
 #else
@@ -552,8 +542,7 @@ int main(int argc, char** argv) {
   results.affinity_cpus = affinity_cpu_count();
 
   sa::bench::print_header(
-      "DeploymentEngine throughput: frames/sec vs threads, AoA backend, "
-      "subbands",
+      "Engine throughput: frames/sec vs threads, AoA backend, subbands",
       smoke ? "smoke mode: minimal workload, every section exercised"
             : "engine scaling on the Figure-4 office (4 APs)");
 
@@ -604,14 +593,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto make_engine = [&](std::size_t set, std::size_t threads) {
+  auto engine_config = [&](std::size_t threads) {
     EngineConfig ecfg;
     ecfg.num_threads = threads;
     ecfg.coordinator.fence_boundary = tb.building_outline();
     ecfg.coordinator.min_aps_for_fence = 2;
+    return ecfg;
+  };
+  auto ap_ptrs = [&](std::size_t set) {
     std::vector<AccessPoint*> ptrs;
     for (const auto& ap : ap_sets[set]) ptrs.push_back(ap.get());
-    return std::make_unique<DeploymentEngine>(ecfg, ptrs);
+    return ptrs;
   };
 
   // ---- frames/sec vs thread count (MUSIC backend).
@@ -619,9 +611,9 @@ int main(int argc, char** argv) {
               "speedup");
   double base_fps = 0.0;
   for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
-    auto engine = make_engine(0, threads);
     std::size_t frames = 0;
-    const double secs = run_once(*engine, rounds, &frames);
+    const double secs = run_once(engine_config(threads), ap_ptrs(0), rounds,
+                                 /*lockstep=*/true, &frames);
     const double fps = static_cast<double>(frames) / secs;
     if (threads == 1) base_fps = fps;
     std::printf("%-10zu %10zu %12.1f %9.2fx\n", threads, frames, fps,
@@ -672,29 +664,23 @@ int main(int argc, char** argv) {
         results.split_frames);
   }
 
-  // ---- batch lock-step vs pipelined EngineSession (MUSIC backend).
-  // Same engines, same workload; the only difference is that the batch
-  // path waits every round out while the session lets round N+1's
+  // ---- lock-step vs pipelined session (MUSIC backend). Same config,
+  // same workload; the only difference is that the lock-step ("batch")
+  // run waits every round out while the pipelined one lets round N+1's
   // scan/decode overlap round N's decode/AoA/policy phase.
   if (pipelined) {
     std::printf("\n%-10s %12s %14s %9s %9s\n", "threads", "batch f/s",
                 "pipelined f/s", "speedup", "overlap");
     for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
-      auto engine = make_engine(0, threads);
       std::size_t batch_frames = 0;
-      const double batch_secs = run_once(*engine, rounds, &batch_frames);
-      engine.reset();
-
-      SessionConfig scfg;
-      scfg.engine.num_threads = threads;
-      scfg.engine.coordinator.fence_boundary = tb.building_outline();
-      scfg.engine.coordinator.min_aps_for_fence = 2;
-      std::vector<AccessPoint*> ptrs;
-      for (const auto& ap : ap_sets[0]) ptrs.push_back(ap.get());
+      const double batch_secs = run_once(engine_config(threads), ap_ptrs(0),
+                                         rounds, /*lockstep=*/true,
+                                         &batch_frames);
       std::size_t session_frames = 0;
       SessionStats stats;
       const double session_secs =
-          run_session_once(scfg, ptrs, rounds, &session_frames, &stats);
+          run_once(engine_config(threads), ap_ptrs(0), rounds,
+                   /*lockstep=*/false, &session_frames, &stats);
 
       const double batch_fps = static_cast<double>(batch_frames) / batch_secs;
       const double session_fps =
@@ -720,7 +706,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::printf("(overlap = max distinct rounds with tasks in the pool at "
+    std::printf("(overlap = max rounds dispatched but not yet scanned at "
                 "once; >= 2 means the round boundary was pipelined away)\n");
   }
 
@@ -728,9 +714,9 @@ int main(int argc, char** argv) {
   const std::size_t backend_threads = std::min<std::size_t>(4, max_threads);
   std::printf("\n%-12s %10s %12s\n", "estimator", "frames", "frames/sec");
   for (std::size_t b = 0; b < ap_sets.size(); ++b) {
-    auto engine = make_engine(b, backend_threads);
     std::size_t frames = 0;
-    const double secs = run_once(*engine, rounds, &frames);
+    const double secs = run_once(engine_config(backend_threads), ap_ptrs(b),
+                                 rounds, /*lockstep=*/true, &frames);
     std::printf("%-12s %10zu %12.1f\n", to_string(backends[b]), frames,
                 static_cast<double>(frames) / secs);
     results.estimator_sweep.push_back({std::string(to_string(backends[b])), 0,
@@ -740,8 +726,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- frames/sec vs wideband subband count (MUSIC backend). Per-band
-  // covariances are smaller-snapshot but each adds an EVD + scan; the
-  // per-(frame, band) fan-out keeps the pool busy inside a single frame.
+  // covariances are smaller-snapshot but each adds an EVD + scan.
   {
     const std::vector<std::size_t> band_counts =
         smoke ? std::vector<std::size_t>{1, 4}
@@ -760,13 +745,9 @@ int main(int argc, char** argv) {
         aps.push_back(std::make_unique<AccessPoint>(cfg, rng));
         ptrs.push_back(aps.back().get());
       }
-      EngineConfig ecfg;
-      ecfg.num_threads = backend_threads;
-      ecfg.coordinator.fence_boundary = tb.building_outline();
-      ecfg.coordinator.min_aps_for_fence = 2;
-      DeploymentEngine engine(ecfg, ptrs);
       std::size_t frames = 0;
-      const double secs = run_once(engine, rounds, &frames);
+      const double secs = run_once(engine_config(backend_threads), ptrs,
+                                   rounds, /*lockstep=*/true, &frames);
       const double fps = static_cast<double>(frames) / secs;
       if (k == 1) k1_fps = fps;
       std::printf("%-10zu %10zu %12.1f %9.2fx\n", k, frames, fps,
@@ -798,18 +779,13 @@ int main(int argc, char** argv) {
               "frames/sec", "overhead");
   double chain_base_fps = 0.0;
   for (const auto& c : chains) {
-    EngineConfig ecfg;
-    ecfg.num_threads = backend_threads;
-    ecfg.coordinator.fence_boundary = tb.building_outline();
-    ecfg.coordinator.min_aps_for_fence = 2;
+    EngineConfig ecfg = engine_config(backend_threads);
     ecfg.coordinator.policies = c.policies;
     ecfg.coordinator.acl = bench_acl;
     ecfg.coordinator.rate_limit.max_frames = 1u << 20;
-    std::vector<AccessPoint*> ptrs;
-    for (const auto& ap : ap_sets[0]) ptrs.push_back(ap.get());
-    DeploymentEngine engine(ecfg, ptrs);
     std::size_t frames = 0;
-    const double secs = run_once(engine, rounds, &frames);
+    const double secs =
+        run_once(ecfg, ap_ptrs(0), rounds, /*lockstep=*/true, &frames);
     const double fps = static_cast<double>(frames) / secs;
     if (chain_base_fps == 0.0) chain_base_fps = fps;
     std::printf("%-22s %10zu %12.1f %9.2f%%\n", c.label, frames, fps,

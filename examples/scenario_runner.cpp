@@ -8,8 +8,10 @@
 // and replay bit-exactly.
 //
 // Two modes:
-//  - batch (default): the three-phase scripted workload through the
-//    lock-step DeploymentEngine, one ingest round per transmission.
+//  - batch (default): the three-phase scripted workload through an
+//    EngineSession run lock-step: each transmission is one round whose
+//    decisions are out before the next is submitted, and each phase
+//    ends with a drain.
 //  - streaming (--duration or --scenario): scenario-driven arrivals
 //    pushed into an EngineSession for a simulated wall-clock span —
 //    chunks go in as they "arrive" while earlier rounds are still
@@ -55,12 +57,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "sa/capture/writer.hpp"
 #include "sa/fleet/coordinator.hpp"
 #include "sa/common/rng.hpp"
 #include "sa/dsp/fft.hpp"
-#include "sa/engine/deployment.hpp"
 #include "sa/engine/session.hpp"
 #include "sa/mac/frame.hpp"
 #include "sa/phy/packet.hpp"
@@ -523,46 +525,48 @@ int main(int argc, char** argv) {
     ecfg.capture = &*writer;
   }
 
-  DeploymentEngine engine(ecfg, dep.ap_ptrs);
+  SessionConfig scfg;
+  scfg.engine = ecfg;
+  std::vector<EngineDecision> decided;
+  EngineSession session(scfg, dep.ap_ptrs, [&](const EngineDecision& d) {
+    decided.push_back(d);
+  });
 
   std::string chain_names = "decode";
-  for (std::size_t i = 1; i < engine.chain().size(); ++i) {
+  for (std::size_t i = 1; i < session.chain().size(); ++i) {
     chain_names += "->";
-    chain_names += engine.chain().policy(i).name();
+    chain_names += session.chain().policy(i).name();
   }
   std::printf("deployment: %zu AP(s), %zu engine thread(s), %d packets/client\n",
-              spec.num_aps, engine.num_threads(), packets);
+              spec.num_aps, session.num_threads(), packets);
   std::printf("config: %s\n", describe(spec).c_str());
   std::printf("policy chain: %s\n", chain_names.c_str());
 
   std::uint16_t seq = 0;
-  auto send = [&](Vec2 from, MacAddress mac,
-                  const TxPattern* pat) -> std::vector<EngineDecision> {
+  auto send = [&](Vec2 from, MacAddress mac, const TxPattern* pat) {
     const Frame f =
         Frame::data(MacAddress::from_index(0xFF), mac, Bytes{1, 2, 3}, seq++);
     const CVec w = PacketTransmitter(PhyRate::k6Mbps).transmit(f.serialize());
-    auto decisions = engine.ingest(sim.transmit(from, w, pat));
+    session.submit_round(sim.transmit(from, w, pat));
+    session.wait_idle();
     sim.advance(0.25);
-    return decisions;
   };
-  auto drain = [&](std::vector<EngineDecision>& into) {
-    for (auto& d : engine.flush()) into.push_back(std::move(d));
+  // A phase ends with a drain; its decisions are everything the sink
+  // appended since the previous phase ended.
+  auto end_phase = [&] {
+    session.drain();
+    return std::exchange(decided, {});
   };
 
   // Phase 1: every client associates and sends `packets` frames.
   int accepted = 0, dropped = 0;
-  {
-    std::vector<EngineDecision> ds;
-    for (int p = 0; p < packets; ++p) {
-      for (const auto& c : tb.clients()) {
-        for (auto& d :
-             send(c.position, MacAddress::from_index(c.id), nullptr)) {
-          ds.push_back(std::move(d));
-        }
-      }
+  for (int p = 0; p < packets; ++p) {
+    for (const auto& c : tb.clients()) {
+      send(c.position, MacAddress::from_index(c.id), nullptr);
     }
-    drain(ds);
-    for (const auto& d : ds) (d.decision.accepted ? accepted : dropped)++;
+  }
+  for (const auto& d : end_phase()) {
+    (d.decision.accepted ? accepted : dropped)++;
   }
   std::printf("\nphase 1 — legitimate traffic: %d accepted, %d dropped "
               "(%.1f%% false drop)\n",
@@ -573,19 +577,11 @@ int main(int argc, char** argv) {
   // ACL waves these through (the MAC is on the list) — only the
   // signature check catches them.
   int spoof_caught = 0, spoof_missed = 0;
-  {
-    std::vector<EngineDecision> ds;
-    for (int p = 0; p < packets; ++p) {
-      for (auto& d :
-           send(tb.client(17).position, MacAddress::from_index(2), nullptr)) {
-        ds.push_back(std::move(d));
-      }
-    }
-    drain(ds);
-    for (const auto& d : ds) {
-      (d.decision.policy == SpoofPolicy::kName ? spoof_caught
-                                               : spoof_missed)++;
-    }
+  for (int p = 0; p < packets; ++p) {
+    send(tb.client(17).position, MacAddress::from_index(2), nullptr);
+  }
+  for (const auto& d : end_phase()) {
+    (d.decision.policy == SpoofPolicy::kName ? spoof_caught : spoof_missed)++;
   }
   std::printf("phase 2 — MAC spoofing insider: %d/%d forged frames dropped\n",
               spoof_caught, spoof_caught + spoof_missed);
@@ -596,37 +592,30 @@ int main(int argc, char** argv) {
   TxPattern amp;
   amp.tx_power_db = 15.0;
   int offsite_drops = 0, outdoor_frames = 0;
-  {
-    std::vector<EngineDecision> ds;
-    for (int p = 0; p < packets; ++p) {
-      for (auto& d : send(tb.outdoor_positions()[0],
-                          MacAddress::from_index(200), &amp)) {
-        ds.push_back(std::move(d));
-      }
-    }
-    drain(ds);
-    for (const auto& d : ds) {
-      ++outdoor_frames;
-      if (!d.decision.accepted) ++offsite_drops;
-    }
+  for (int p = 0; p < packets; ++p) {
+    send(tb.outdoor_positions()[0], MacAddress::from_index(200), &amp);
+  }
+  for (const auto& d : end_phase()) {
+    ++outdoor_frames;
+    if (!d.decision.accepted) ++offsite_drops;
   }
   std::printf("phase 3 — off-site transmitter: %d/%d frames denied\n",
               offsite_drops, outdoor_frames);
 
-  const auto st = engine.stats();
-  const auto sp = engine.spoof_detector().stats();
+  const auto st = session.stats();
+  const auto sp = session.spoof_detector().stats();
   std::printf("\ntotals: %zu frames | %zu accepted | %zu dropped\n", st.frames,
               st.accepted, st.frames - st.accepted);
   std::printf("\n%-10s %10s %10s %10s\n", "policy", "evaluated", "accepted",
               "dropped");
-  for (const auto& ps : engine.chain().policy_stats()) {
+  for (const auto& ps : session.chain().policy_stats()) {
     std::printf("%-10.*s %10zu %10zu %10zu\n",
                 static_cast<int>(ps.name.size()), ps.name.data(), ps.evaluated,
                 ps.accepted, ps.dropped);
   }
   std::printf("\nspoof trackers: %zu MAC(s) across %zu shard(s), %zu alarms, "
               "%zu evicted\n",
-              sp.tracked_macs, engine.spoof_detector().num_shards(), sp.alarms,
+              sp.tracked_macs, session.spoof_detector().num_shards(), sp.alarms,
               sp.evictions);
   if (writer) {
     writer->close();

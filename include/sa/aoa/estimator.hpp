@@ -1,6 +1,6 @@
 // Pluggable AoA estimation: one interface over the spectral estimators so
-// the receive pipeline (AccessPoint, DeploymentEngine) can swap backends
-// without touching the per-packet plumbing.
+// the receive pipeline (AccessPoint, and the EngineSession above it) can
+// swap backends without touching the per-packet plumbing.
 //
 // Every backend consumes a shared SpectralContext — the per-frame (or
 // per-subband) covariance plus its lazily cached eigendecomposition and

@@ -26,9 +26,13 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Standard normal (or scaled/shifted) draw.
+  /// Standard normal (or scaled/shifted) draw. A unit normal is drawn
+  /// and scaled — libstdc++'s own arithmetic, so the stream is the same
+  /// as a normal_distribution(mean, stddev) draw — because the standard
+  /// forbids constructing that distribution with stddev 0, which a zero
+  /// noise power or a zero gain sigma asks for.
   double normal(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>()(engine_) * stddev + mean;
   }
 
   /// Circularly-symmetric complex Gaussian with E[|z|^2] = variance.

@@ -1,31 +1,20 @@
-// The deployment engine: the production-scale frame-decision pipeline.
+// Engine configuration and the cross-AP frame grouping shared by the
+// EngineSession dataplane (sa/engine/session.hpp) and its serial
+// reference.
 //
 // A SecureAngle deployment receives continuous per-AP sample streams and
 // must turn them into one ordered stream of frame decisions:
 //
 //   per-AP sample chunks
-//     -> StreamingReceiver::scan        (parallel across APs)
-//     -> AccessPoint::prepare           (parallel across every candidate
-//                                        frame of every AP: PHY decode +
-//                                        per-subband covariance contexts)
-//     -> AccessPoint::estimate_band     (parallel across every (frame,
-//                                        subband) pair — intra-frame
-//                                        parallelism)
-//     -> AccessPoint::assemble          (parallel across frames:
-//                                        signature fusion + bearing)
-//     -> StreamingReceiver::commit      (sequential per AP, cheap)
-//     -> cross-AP grouping by start sample
-//     -> spoof observe                  (per-frame tickets, parallel
-//                                        across MAC shards, sequential
-//                                        within a shard)
-//     -> Coordinator::process_prejudged (sequential, re-sequenced)
-//
-// The primary API is the push-based EngineSession (sa/engine/
-// session.hpp), which pipelines ingest rounds: round N+1's scan/decode
-// overlaps round N's decode/AoA/policy phase. DeploymentEngine is the
-// legacy lock-step batch surface, kept byte-identical: ingest() submits
-// one time-aligned chunk per AP to an internal session and blocks until
-// that round's decisions are out.
+//     -> StreamingReceiver::scan        (per AP, on the AP's worker)
+//     -> AccessPoint::demodulate        (per candidate frame, same
+//                                        worker: PHY decode, per-subband
+//                                        covariance and AoA, signature)
+//     -> StreamingReceiver::commit      (per AP, same worker)
+//     -> group_frame_observations       (the sequencer, in round order)
+//     -> spoof observe + policy chain   (the worker owning the frame's
+//                                        MAC shard, in sequence order)
+//     -> re-sequenced EngineDecision stream
 //
 // Determinism: the emitted FrameDecision sequence is identical at any
 // thread count — and identical to feeding the same chunk streams through
@@ -33,11 +22,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "sa/common/thread_pool.hpp"
 #include "sa/engine/sharded_spoof.hpp"
 #include "sa/secure/coordinator.hpp"
 #include "sa/secure/streaming.hpp"
@@ -51,8 +38,6 @@ struct EngineConfig {
   std::size_t num_threads = 1;
   /// MAC-hash shards for per-client tracker state.
   std::size_t num_shards = 8;
-  /// Bound of the pool's pending-task queue.
-  std::size_t queue_capacity = 256;
   /// Detections across APs within this many samples of each other are
   /// fused as one frame (propagation plus detection jitter; a WARP
   /// buffer is 8000 samples).
@@ -98,42 +83,6 @@ struct EngineDecision {
   std::size_t sequence = 0;        ///< global frame index, monotonically increasing
   std::size_t absolute_start = 0;  ///< earliest detection sample across APs
   FrameDecision decision;
-};
-
-class EngineSession;
-
-/// Lock-step batch wrapper over an EngineSession, for callers that own
-/// the round cadence themselves. Output is byte-identical to the
-/// pre-session batch engine at any thread count.
-class DeploymentEngine {
- public:
-  /// `aps` are borrowed (not owned) and must outlive the engine; one
-  /// sample stream is expected per AP, in the same order.
-  DeploymentEngine(EngineConfig config, std::vector<AccessPoint*> aps);
-  ~DeploymentEngine();
-
-  /// Feed the next time-aligned chunk of every AP's stream (chunks[i]
-  /// belongs to aps[i]). Returns the decisions completed by this batch,
-  /// in stream order. The const-ref overload copies the chunks into the
-  /// session's queues; pass an rvalue to move them instead.
-  std::vector<EngineDecision> ingest(const std::vector<CMat>& chunks);
-  std::vector<EngineDecision> ingest(std::vector<CMat>&& chunks);
-
-  /// End of capture: process deferred detections and emit what remains.
-  std::vector<EngineDecision> flush();
-
-  std::size_t num_aps() const;
-  std::size_t num_threads() const;
-  const EngineConfig& config() const { return config_; }
-  Coordinator::Stats stats() const;
-  /// Per-policy accept/drop counters of the decision chain.
-  const PolicyChain& chain() const;
-  const ShardedSpoofDetector& spoof_detector() const;
-
- private:
-  EngineConfig config_;
-  std::unique_ptr<EngineSession> session_;
-  std::vector<EngineDecision> collected_;
 };
 
 }  // namespace sa

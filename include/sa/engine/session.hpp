@@ -1,10 +1,5 @@
-// EngineSession: the engine's primary, push-based API — now a lock-free
-// SPSC-ring dataplane.
-//
-// The previous session funneled every chunk and every decode task
-// through one mutex, four condition variables and a shared bounded
-// ThreadPool queue; BENCH_5 showed that architecture flat from 1 to 8
-// threads. This one is built DPDK-style out of single-producer/
+// EngineSession: the engine's push-based API, a lock-free SPSC-ring
+// dataplane. It is built DPDK-style out of single-producer/
 // single-consumer rings (sa/common/spsc_ring.hpp) and shard-affine
 // run-to-completion workers:
 //
@@ -57,6 +52,12 @@
 // pass and returns once all resulting decisions have been emitted — the
 // session stays usable. close() drains and stops the threads; the
 // destructor closes.
+//
+// Schedules: pushing rounds without waiting pipelines them (round N+1's
+// scan overlaps round N's decisions). A caller that owns the round
+// cadence runs lock-step instead — submit_round(r); wait_idle(); per
+// round, then drain() — and gets each round's decisions before it
+// submits the next. Both emit the same decision stream.
 #pragma once
 
 #include <atomic>
@@ -84,11 +85,6 @@ struct WorkerPlacement {
 };
 
 struct SessionConfig {
-  /// Sentinel for `poll_spin`: adapt to the machine (0 when only one
-  /// hardware thread exists — spinning can only steal the producer's
-  /// core — a small budget otherwise).
-  static constexpr std::size_t kAutoSpin = static_cast<std::size_t>(-1);
-
   EngineConfig engine;
   /// Rounds that may be dispatched but not yet fully decided at once;
   /// >= 1. 1 degenerates to lock-step.
@@ -102,9 +98,6 @@ struct SessionConfig {
   /// raggedness of the submission order: pushing one AP more than this
   /// many rounds ahead of another would block forever.
   std::size_t max_pending_chunks = 64;
-  /// Busy-poll iterations before a dataplane thread parks on its
-  /// doorbell. kAutoSpin adapts to hardware_concurrency().
-  std::size_t poll_spin = kAutoSpin;
   WorkerPlacement placement;
 };
 
@@ -194,7 +187,7 @@ class EngineSession {
   /// session remains usable afterwards.
   void drain();
   /// Block until every currently formable round has been decided (no
-  /// flush pass). The batch wrapper's ingest barrier.
+  /// flush pass): the per-round barrier of the lock-step schedule.
   void wait_idle();
   /// drain(), then stop the pipeline threads. Idempotent (concurrent
   /// calls serialize); submit() and drain() throw StateError afterwards.
@@ -343,7 +336,10 @@ class EngineSession {
   mutable Coordinator coordinator_;
   mutable std::mutex chain_mu_;
   DecisionSink sink_;
-  std::size_t resolved_spin_ = 0;
+  /// Busy-poll iterations before a dataplane thread parks on its
+  /// doorbell: 0 on a single hardware thread, where spinning can only
+  /// delay the producer the consumer waits on; a small budget otherwise.
+  std::size_t spin_ = 0;
 
   Doorbell front_bell_;   // submitters / sequencer -> front-end
   Doorbell seq_bell_;     // workers -> sequencer

@@ -1,24 +1,12 @@
 // Per-MAC tracker state sharded by MAC hash. Each shard owns an
-// independent SpoofDetector behind its own mutex, so trackers for
-// different clients can be updated concurrently while every individual
-// client's signature history still evolves strictly in frame order
-// (a MAC always maps to the same shard).
-//
-// Two APIs advance a shard:
-//  - observe(): the caller already holds the frames of one MAC in order
-//    (the serial coordinator, or the legacy per-round bucket fan-out).
-//  - reserve()/fulfil(): the pipelined per-frame path. The sequencing
-//    thread reserves a slot in the MAC's shard order the moment the
-//    frame is sequenced (cheap), and any worker later fulfils it. A
-//    fulfilment that arrives before its predecessors is parked inside
-//    the shard and applied — in reserved order — by whichever worker
-//    closes the gap, so tracker state advances frame by frame without
-//    any round barrier and without a worker ever blocking.
+// independent SpoofDetector behind its own mutex, and a MAC always maps
+// to the same shard, so every client's signature history evolves
+// strictly in frame order. The session's shard-affine workers each
+// observe only their own shards; the mutexes are for the control-plane
+// calls (stats(), export_tracker(), import_tracker(), forget()) that
+// may run on another thread.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -26,12 +14,6 @@
 #include "sa/secure/spoofdetector.hpp"
 
 namespace sa {
-
-/// A reserved slot in one shard's observation order.
-struct SpoofTicket {
-  std::size_t shard = 0;
-  std::uint64_t seq = 0;
-};
 
 class ShardedSpoofDetector {
  public:
@@ -65,36 +47,6 @@ class ShardedSpoofDetector {
   SpoofObservation observe(const MacAddress& source,
                            const AoaSignature& signature);
 
-  /// Completion of one fulfilled ticket: exactly one of the two is
-  /// meaningful — `error` is null on success, and carries the exception
-  /// thrown by the underlying observe otherwise.
-  using FulfilCallback =
-      std::function<void(SpoofObservation observation,
-                         std::exception_ptr error)>;
-
-  /// Reserve the next slot in `source`'s shard order. Must be called in
-  /// global frame order (one sequencing thread); every reserved ticket
-  /// must eventually be fulfilled, or later fulfilments on the shard
-  /// park forever.
-  SpoofTicket reserve(const MacAddress& source);
-  /// Fulfil a reserved ticket from any thread. The observation runs when
-  /// every earlier ticket on the shard has run; if that is not yet the
-  /// case the work is parked (never blocks) and `done` fires — possibly
-  /// on the gap-closing thread — once the observation has been applied.
-  /// A throwing observe is delivered to *its own* ticket's callback and
-  /// the shard still advances, so one poisoned frame cannot strand its
-  /// successors. `source` and `signature` must stay valid until `done`
-  /// fires.
-  void fulfil(const SpoofTicket& ticket, const MacAddress& source,
-              const SubbandSignature& signature, FulfilCallback done);
-
-  /// Tracker for a MAC, if it has been seen. The pointer is invalidated
-  /// by the next observe()/forget() on the shard (flat storage moves
-  /// under insertion and erasure) — use it immediately, and reading it
-  /// concurrently with observe() on the same MAC is the caller's race
-  /// to avoid.
-  const SignatureTracker* tracker(const MacAddress& source) const;
-
   /// Forget a MAC entirely (e.g. after deauthentication).
   void forget(const MacAddress& source);
 
@@ -110,20 +62,12 @@ class ShardedSpoofDetector {
   SpoofDetectorStats stats() const;
 
  private:
-  struct Parked {
-    const MacAddress* source;
-    const SubbandSignature* signature;
-    FulfilCallback done;
-  };
   struct Shard {
     Shard(const TrackerConfig& cfg, std::size_t max_tracked,
           std::size_t idle_expiry_frames)
         : detector(cfg, max_tracked, idle_expiry_frames) {}
     mutable std::mutex mu;
     SpoofDetector detector;
-    std::uint64_t reserved = 0;  ///< next ticket seq to hand out
-    std::uint64_t applied = 0;   ///< next ticket seq to run
-    std::map<std::uint64_t, Parked> parked;
   };
   std::vector<std::unique_ptr<Shard>> shards_;
 };

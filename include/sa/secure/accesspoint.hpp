@@ -162,11 +162,11 @@ class AccessPoint {
                                            const PacketDetection& det,
                                            FrameScratch* scratch = nullptr) const;
 
-  // The demodulate pipeline split into its three stages so callers (the
-  // deployment engine) can fan the per-subband estimates across a thread
-  // pool — intra-frame parallelism. All three are const and safe to call
-  // concurrently for different frames/bands; a single FramePrep's
-  // contexts each belong to one band's estimate at a time.
+  // The demodulate pipeline split into its three stages so callers can
+  // time or schedule them separately (the trace-replay benchmark times
+  // each stage). All three are const and safe to call concurrently for
+  // different frames/bands; a single FramePrep's contexts each belong to
+  // one band's estimate at a time.
 
   /// Everything demodulation derives before the AoA estimates: the
   /// decode results and one SpectralContext per subband (one for the

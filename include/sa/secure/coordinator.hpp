@@ -69,16 +69,11 @@ class Coordinator {
   /// Precondition: every observation refers to the same transmission.
   FrameDecision process(const std::vector<ApObservation>& observations);
 
-  /// The deployment engine's entry point: identical decision logic and
-  /// statistics, but the spoof observation (present iff the frame was
-  /// decodable and the chain wants spoof checking) was computed by the
-  /// caller against its own MAC-sharded tracker state instead of this
-  /// coordinator's detector.
-  FrameDecision process_prejudged(
-      const std::vector<ApObservation>& observations,
-      const std::optional<SpoofObservation>& spoof);
-
-  /// As above, but with the caller supplying the global frame index for
+  /// The engine's entry point: identical decision logic and statistics,
+  /// but the spoof observation (present iff the frame was decodable and
+  /// the chain wants spoof checking) was computed by the caller against
+  /// its own MAC-sharded tracker state instead of this coordinator's
+  /// detector, and the caller supplies the global frame index for
   /// stateful policies (rate limiting windows on it). A shard-affine
   /// worker's chain sees only its own MACs' frames, so its local frame
   /// count is not the global sequence number — the engine passes the
@@ -132,10 +127,6 @@ class Coordinator {
   void set_capture(CaptureWriter* capture) { capture_ = capture; }
 
  private:
-  FrameDecision decide(const std::vector<ApObservation>& observations,
-                       const ApObservation& best,
-                       const std::optional<SpoofObservation>& spoof);
-
   CoordinatorConfig config_;
   PolicyChain chain_;
   bool wants_spoof_ = false;

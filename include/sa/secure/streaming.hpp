@@ -61,9 +61,10 @@ class StreamingReceiver {
   std::vector<StreamPacket> flush();
 
   // --- Two-phase variant, for callers that schedule the per-frame work
-  // themselves (the deployment engine fans candidates across a thread
-  // pool). push(chunk) == scan(&chunk) + demodulate each candidate +
-  // commit(..., false); flush() == the same with nullptr/true.
+  // themselves (the EngineSession worker owning this AP decodes the
+  // candidates with its own scratch). push(chunk) == scan(&chunk) +
+  // demodulate each candidate + commit(..., false); flush() == the same
+  // with nullptr/true.
   //
   // Commit-behind: a Scan captures its own absolute coordinates (base,
   // seen) and commit's emit/defer arithmetic uses *those*, not the live

@@ -22,7 +22,7 @@ ReplayResult ReplaySource::replay_into(EngineSession& session) {
     result.error =
         "fleet capture (version " +
         std::to_string(reader_.header()->version) +
-        "): replay it with replay_fleet_capture / capture_tool --fleet";
+        "): replay it with replay_fleet_capture";
     return result;
   }
   const std::uint32_t num_aps = reader_.header()->num_aps;

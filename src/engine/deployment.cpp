@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sa/common/error.hpp"
-#include "sa/engine/session.hpp"
 
 namespace sa {
 
@@ -38,56 +37,6 @@ std::vector<FrameGroup> group_frame_observations(
         {ap_positions[e.ap_index], std::move(e.packet)});
   }
   return groups;
-}
-
-DeploymentEngine::DeploymentEngine(EngineConfig config,
-                                   std::vector<AccessPoint*> aps)
-    : config_(std::move(config)) {
-  SessionConfig scfg;
-  scfg.engine = config_;
-  // Lock-step wrapper: every ingest waits the round out, so scan-ahead
-  // never happens; the bounds only need to admit one round at a time.
-  scfg.max_inflight_rounds = 1;
-  scfg.max_inflight_frames = 0;  // unbounded
-  session_ = std::make_unique<EngineSession>(
-      scfg, std::move(aps),
-      [this](const EngineDecision& d) { collected_.push_back(d); });
-}
-
-DeploymentEngine::~DeploymentEngine() = default;
-
-std::vector<EngineDecision> DeploymentEngine::ingest(
-    const std::vector<CMat>& chunks) {
-  return ingest(std::vector<CMat>(chunks.begin(), chunks.end()));
-}
-
-std::vector<EngineDecision> DeploymentEngine::ingest(
-    std::vector<CMat>&& chunks) {
-  SA_EXPECTS(chunks.size() == session_->num_aps());
-  collected_.clear();
-  session_->submit_round(std::move(chunks));
-  session_->wait_idle();
-  return std::move(collected_);
-}
-
-std::vector<EngineDecision> DeploymentEngine::flush() {
-  collected_.clear();
-  session_->drain();
-  return std::move(collected_);
-}
-
-std::size_t DeploymentEngine::num_aps() const { return session_->num_aps(); }
-
-std::size_t DeploymentEngine::num_threads() const {
-  return session_->num_threads();
-}
-
-Coordinator::Stats DeploymentEngine::stats() const { return session_->stats(); }
-
-const PolicyChain& DeploymentEngine::chain() const { return session_->chain(); }
-
-const ShardedSpoofDetector& DeploymentEngine::spoof_detector() const {
-  return session_->spoof_detector();
 }
 
 }  // namespace sa

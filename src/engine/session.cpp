@@ -25,14 +25,6 @@ std::size_t resolve_threads(std::size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-std::size_t resolve_spin(std::size_t configured) {
-  if (configured != SessionConfig::kAutoSpin) return configured;
-  // On a single hardware thread, spinning can only delay the producer
-  // the consumer is waiting on; park immediately.
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 1 ? 128 : 0;
-}
-
 /// Pin the calling thread to `core`; returns whether the pin took.
 bool pin_current_thread(int core) {
 #if defined(__linux__)
@@ -58,7 +50,7 @@ EngineSession::EngineSession(SessionConfig config,
              config_.engine.coordinator.spoof_idle_frames),
       coordinator_(config_.engine.coordinator),
       sink_(std::move(sink)),
-      resolved_spin_(resolve_spin(config_.poll_spin)) {
+      spin_(std::thread::hardware_concurrency() > 1 ? 128 : 0) {
   SA_EXPECTS(!aps_.empty());
   SA_EXPECTS(sink_ != nullptr);
   SA_EXPECTS(config_.max_inflight_rounds >= 1);
@@ -142,9 +134,9 @@ void EngineSession::submit(std::size_t ap_index, CMat chunk) {
   // would otherwise propagate through conditioning into the covariance
   // eigendecomposition and trip eig()'s Hermitian precondition deep in
   // a worker (the robustness gap the capture fuzz loop found). Every
-  // ingest path funnels through here — DeploymentEngine::ingest() and
-  // capture replay included — so one check covers them all, before the
-  // chunk is recorded or enters the rings.
+  // ingest path funnels through here — capture replay included — so one
+  // check covers them all, before the chunk is recorded or enters the
+  // rings.
   {
     const cd* samples = chunk.raw();
     const std::size_t n = chunk.rows() * chunk.cols();
@@ -411,7 +403,7 @@ void EngineSession::frontend_loop() {
                    drains_issued <
                        drains_requested_.load(std::memory_order_acquire);
           },
-          resolved_spin_, &stats_.spin_polls, &stats_.parks);
+          spin_, &stats_.spin_polls, &stats_.parks);
       if (closing_.load(std::memory_order_acquire) ||
           failed_.load(std::memory_order_acquire)) {
         return;
@@ -504,7 +496,7 @@ void EngineSession::worker_loop(std::size_t w) {
                    failed_.load(std::memory_order_acquire) ||
                    !wk.decide.empty() || !wk.work.empty();
           },
-          resolved_spin_, &stats_.spin_polls, &stats_.parks);
+          spin_, &stats_.spin_polls, &stats_.parks);
       if (closing_.load(std::memory_order_acquire) ||
           failed_.load(std::memory_order_acquire)) {
         return;
@@ -687,7 +679,7 @@ void EngineSession::sequencer_loop() {
               }
               return false;
             },
-            resolved_spin_, &stats_.spin_polls, &stats_.parks);
+            spin_, &stats_.spin_polls, &stats_.parks);
         if (closing_.load(std::memory_order_acquire) ||
             failed_.load(std::memory_order_acquire)) {
           return;

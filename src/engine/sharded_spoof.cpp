@@ -1,7 +1,5 @@
 #include "sa/engine/sharded_spoof.hpp"
 
-#include <algorithm>
-
 #include "sa/common/error.hpp"
 
 namespace sa {
@@ -37,72 +35,6 @@ SpoofObservation ShardedSpoofDetector::observe(
 SpoofObservation ShardedSpoofDetector::observe(const MacAddress& source,
                                                const AoaSignature& signature) {
   return observe(source, SubbandSignature::single(signature));
-}
-
-SpoofTicket ShardedSpoofDetector::reserve(const MacAddress& source) {
-  const std::size_t s = shard_of(source);
-  Shard& shard = *shards_[s];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return SpoofTicket{s, shard.reserved++};
-}
-
-void ShardedSpoofDetector::fulfil(const SpoofTicket& ticket,
-                                  const MacAddress& source,
-                                  const SubbandSignature& signature,
-                                  FulfilCallback done) {
-  SA_EXPECTS(ticket.shard < shards_.size());
-  SA_EXPECTS(done != nullptr);
-  Shard& shard = *shards_[ticket.shard];
-  struct Completed {
-    FulfilCallback done;
-    SpoofObservation observation;
-    std::exception_ptr error;
-  };
-  // Completions are collected under the lock but invoked outside it: a
-  // `done` that re-enters the detector (or is just slow) must not extend
-  // the shard's critical section. A throwing observe is captured as the
-  // owning ticket's error and the shard advances regardless — otherwise
-  // one poisoned frame would park every successor forever.
-  std::vector<Completed> completed;
-  auto apply = [&](const MacAddress& mac, const SubbandSignature& sig,
-                   FulfilCallback cb) {
-    Completed c;
-    c.done = std::move(cb);
-    try {
-      c.observation = shard.detector.observe(mac, sig);
-    } catch (...) {
-      c.error = std::current_exception();
-    }
-    completed.push_back(std::move(c));
-    ++shard.applied;
-  };
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    SA_EXPECTS(ticket.seq >= shard.applied && ticket.seq < shard.reserved);
-    if (ticket.seq != shard.applied) {
-      SA_EXPECTS(shard.parked.find(ticket.seq) == shard.parked.end());
-      shard.parked.emplace(ticket.seq,
-                           Parked{&source, &signature, std::move(done)});
-      return;
-    }
-    apply(source, signature, std::move(done));
-    // Close the gap: apply any parked successors in reserved order.
-    for (auto it = shard.parked.find(shard.applied);
-         it != shard.parked.end() && it->first == shard.applied;
-         it = shard.parked.find(shard.applied)) {
-      Parked parked = std::move(it->second);
-      shard.parked.erase(it);
-      apply(*parked.source, *parked.signature, std::move(parked.done));
-    }
-  }
-  for (auto& c : completed) c.done(c.observation, c.error);
-}
-
-const SignatureTracker* ShardedSpoofDetector::tracker(
-    const MacAddress& source) const {
-  const Shard& shard = *shards_[shard_of(source)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.detector.tracker(source);
 }
 
 void ShardedSpoofDetector::forget(const MacAddress& source) {

@@ -75,24 +75,14 @@ FrameDecision Coordinator::process(
   if (wants_spoof_ && best.packet.frame) {
     so = spoof_.observe(best.packet.frame->addr2, best.packet.subband);
   }
-  // The serial chain's processed count is the global frame index (the
-  // same value decide() hands the FrameContext below).
-  const std::uint64_t sequence = chain_.frames();
-  FrameDecision decision = decide(observations, best, so);
+  // A serial chain's processed count *is* the global frame index.
+  const std::size_t sequence = chain_.frames();
+  FrameContext ctx(observations, best, sequence, so);
+  FrameDecision decision = chain_.run(ctx);
   if (capture_ != nullptr && !capture_->closed()) {
     capture_->record_decision(sequence, best.packet.detection.start, decision);
   }
   return decision;
-}
-
-FrameDecision Coordinator::process_prejudged(
-    const std::vector<ApObservation>& observations,
-    const std::optional<SpoofObservation>& spoof) {
-  const ApObservation& best = best_observation(observations);
-  if (wants_spoof_) {
-    SA_EXPECTS(spoof.has_value() == best.packet.frame.has_value());
-  }
-  return decide(observations, best, spoof);
 }
 
 FrameDecision Coordinator::process_prejudged(
@@ -103,14 +93,6 @@ FrameDecision Coordinator::process_prejudged(
     SA_EXPECTS(spoof.has_value() == best.packet.frame.has_value());
   }
   FrameContext ctx(observations, best, frame_index, spoof);
-  return chain_.run(ctx);
-}
-
-FrameDecision Coordinator::decide(
-    const std::vector<ApObservation>& observations, const ApObservation& best,
-    const std::optional<SpoofObservation>& spoof) {
-  // A serial chain's processed count *is* the global frame index.
-  FrameContext ctx(observations, best, chain_.frames(), spoof);
   return chain_.run(ctx);
 }
 

@@ -1,4 +1,4 @@
-// Unit tests for sa_common: angles, statistics, geometry, ring buffer, RNG.
+// Unit tests for sa_common: angles, statistics, geometry, RNG.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include "sa/common/constants.hpp"
 #include "sa/common/error.hpp"
 #include "sa/common/geometry.hpp"
-#include "sa/common/ring_buffer.hpp"
 #include "sa/common/rng.hpp"
 #include "sa/common/stats.hpp"
 
@@ -284,40 +283,6 @@ TEST(Geometry, IntersectBearingsParallelFails) {
   EXPECT_FALSE(intersect_bearings(origins, bearings).has_value());
 }
 
-// ------------------------------------------------------------ ring buffer
-
-TEST(RingBuffer, PushPopOrdering) {
-  RingBuffer<int> rb(3);
-  EXPECT_TRUE(rb.empty());
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.front(), 1);
-  EXPECT_EQ(rb.back(), 3);
-  rb.push(4);  // overwrites 1
-  EXPECT_EQ(rb.front(), 2);
-  EXPECT_EQ(rb.back(), 4);
-  EXPECT_EQ(rb[0], 2);
-  EXPECT_EQ(rb[1], 3);
-  EXPECT_EQ(rb[2], 4);
-  rb.pop();
-  EXPECT_EQ(rb.front(), 3);
-  EXPECT_EQ(rb.size(), 2u);
-}
-
-TEST(RingBuffer, ToVectorAndClear) {
-  RingBuffer<double> rb(4);
-  for (int i = 0; i < 6; ++i) rb.push(i);
-  const auto v = rb.to_vector();
-  ASSERT_EQ(v.size(), 4u);
-  EXPECT_EQ(v.front(), 2.0);
-  EXPECT_EQ(v.back(), 5.0);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  EXPECT_THROW(rb.front(), InvalidArgument);
-}
-
 // ------------------------------------------------------------------- rng
 
 TEST(Rng, Deterministic) {
@@ -345,6 +310,21 @@ TEST(Rng, ComplexNormalPower) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) p += std::norm(rng.complex_normal(2.5));
   EXPECT_NEAR(p / n, 2.5, 0.1);
+}
+
+TEST(Rng, ZeroStddevNormalIsTheMeanAndKeepsTheStreamInStep) {
+  // A zero stddev (zero noise power, zero fading sigma, ideal chain
+  // gains) returns the mean exactly and consumes the same engine draws
+  // as a unit normal, so the rest of the simulation does not shift.
+  Rng zero(21), unit(21);
+  for (double m : {0.0, -1.5, 3.25}) {
+    EXPECT_EQ(zero.normal(m, 0.0), m);
+    unit.normal(0.0, 1.0);
+  }
+  EXPECT_EQ(zero.complex_normal(0.0), std::complex<double>(0.0, 0.0));
+  unit.normal(0.0, 1.0);
+  unit.normal(0.0, 1.0);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(zero.normal(), unit.normal());
 }
 
 TEST(Rng, RandomPhasorUnitMagnitude) {

@@ -150,14 +150,18 @@ TEST(FlatLruMap, MatchesReferenceModelUnderChurn) {
         int* got = map.find(key);
         int* want = ref.find(key);
         ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
-        if (want != nullptr) ASSERT_EQ(*got, *want) << "step " << step;
+        if (want != nullptr) {
+          ASSERT_EQ(*got, *want) << "step " << step;
+        }
         break;
       }
       case 2: {  // read with recency refresh
         int* got = map.touch(key);
         int* want = ref.touch(key);
         ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
-        if (want != nullptr) ASSERT_EQ(*got, *want) << "step " << step;
+        if (want != nullptr) {
+          ASSERT_EQ(*got, *want) << "step " << step;
+        }
         break;
       }
       case 3:  // backward-shift erase
@@ -183,7 +187,9 @@ TEST(FlatLruMap, BackwardShiftKeepsProbeRunsFindable) {
     const bool erased = (k >= 8 && (k - 8) % 7 == 0);
     const int* v = map.find(k);
     ASSERT_EQ(v == nullptr, erased) << "key " << k;
-    if (v != nullptr) EXPECT_EQ(*v, k * 10);
+    if (v != nullptr) {
+      EXPECT_EQ(*v, k * 10);
+    }
   }
 }
 

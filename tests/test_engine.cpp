@@ -1,332 +1,18 @@
-// Determinism tests for the DeploymentEngine: at any thread count (and
-// any shard count) the engine must emit a FrameDecision stream identical
-// to the single-threaded path — serial StreamingReceivers feeding the
-// same grouping and a plain Coordinator — over the Figure-4 office
-// scenario, across multiple seeds.
+// Tests for the cross-AP frame grouping in sa/engine/deployment.hpp:
+// group_frame_observations must fuse detections that start within the
+// slack of a group's first detection, anchor the window at that first
+// detection, and order views by (start sample, AP index). The engine
+// decision stream that this grouping feeds is tested end to end in
+// test_session.cpp.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "sa/common/rng.hpp"
 #include "sa/engine/deployment.hpp"
-#include "sa/mac/frame.hpp"
-#include "sa/phy/packet.hpp"
-#include "sa/testbed/office.hpp"
-#include "sa/testbed/uplink.hpp"
 
 namespace sa {
 namespace {
-
-/// Figure-4 office, 3 APs, and a pre-generated mixed workload: legitimate
-/// ring clients, a MAC-spoofing insider, and an off-site transmitter.
-struct EngineRig {
-  OfficeTestbed tb = OfficeTestbed::figure4();
-  Rng rng;
-  std::vector<std::unique_ptr<AccessPoint>> aps;
-  std::vector<AccessPoint*> ptrs;
-  std::vector<std::vector<CMat>> rounds;  // one vector<CMat> per transmission
-
-  explicit EngineRig(std::uint64_t seed, std::size_t subbands = 1)
-      : rng(seed) {
-    UplinkConfig ucfg;
-    ucfg.channel.noise_power = 1e-5;
-    UplinkSimulation sim(tb, ucfg, rng);
-    for (const Vec2& spot : tb.ap_mounting_points(3)) {
-      AccessPointConfig cfg;
-      cfg.position = spot;
-      cfg.subbands = subbands;
-      aps.push_back(std::make_unique<AccessPoint>(cfg, rng));
-      ptrs.push_back(aps.back().get());
-      sim.add_ap(aps.back()->placement());
-    }
-    std::uint16_t seq = 0;
-    auto shoot = [&](Vec2 from, std::uint32_t mac_index, const TxPattern* pat) {
-      const Frame f = Frame::data(MacAddress::from_index(0xFF),
-                                  MacAddress::from_index(mac_index),
-                                  Bytes{1, 2, 3}, seq++);
-      const CVec w = PacketTransmitter(PhyRate::k6Mbps).transmit(f.serialize());
-      rounds.push_back(sim.transmit(from, w, pat));
-      sim.advance(0.25);
-    };
-    for (int p = 0; p < 2; ++p) {
-      for (int id : {1, 2}) shoot(tb.client(id).position, id, nullptr);
-    }
-    // Insider spoofing client 2's MAC from the far office.
-    for (int p = 0; p < 2; ++p) shoot(tb.client(17).position, 2, nullptr);
-    // Off-site transmitter with a power amp.
-    TxPattern amp;
-    amp.tx_power_db = 15.0;
-    shoot(tb.outdoor_positions()[0], 200, &amp);
-  }
-
-  EngineConfig engine_config() const {
-    EngineConfig cfg;
-    cfg.coordinator.fence_boundary = tb.building_outline();
-    cfg.coordinator.min_aps_for_fence = 2;
-    return cfg;
-  }
-
-  /// Decode + acl + spoof + fence + rate: the full built-in chain. The
-  /// ACL allows the legitimate MACs (so the spoofed insider passes it and
-  /// must be caught downstream) but not the off-site transmitter's; the
-  /// tight rate limit fires on the busiest MAC.
-  EngineConfig five_policy_config() const {
-    EngineConfig cfg = engine_config();
-    cfg.coordinator.policies = {PolicyKind::kAcl, PolicyKind::kSpoof,
-                                PolicyKind::kFence, PolicyKind::kRateLimit};
-    AccessControlList acl;
-    acl.allow(MacAddress::from_index(1));
-    acl.allow(MacAddress::from_index(2));
-    cfg.coordinator.acl = std::move(acl);
-    cfg.coordinator.rate_limit.max_frames = 3;
-    cfg.coordinator.rate_limit.window_frames = 1024;
-    return cfg;
-  }
-
-  std::vector<EngineDecision> run_engine_with(EngineConfig cfg) {
-    DeploymentEngine engine(cfg, ptrs);
-    std::vector<EngineDecision> out;
-    for (const auto& round : rounds) {
-      for (auto& d : engine.ingest(round)) out.push_back(std::move(d));
-    }
-    for (auto& d : engine.flush()) out.push_back(std::move(d));
-    return out;
-  }
-
-  std::vector<EngineDecision> run_engine(std::size_t threads,
-                                         std::size_t shards = 8) {
-    EngineConfig cfg = engine_config();
-    cfg.num_threads = threads;
-    cfg.num_shards = shards;
-    return run_engine_with(cfg);
-  }
-
-  /// The single-threaded reference: serial streaming receivers, the same
-  /// grouping, a plain Coordinator::process.
-  std::vector<EngineDecision> run_serial_reference() {
-    const EngineConfig cfg = engine_config();
-    std::vector<std::unique_ptr<StreamingReceiver>> streams;
-    for (AccessPoint* ap : ptrs) {
-      streams.push_back(std::make_unique<StreamingReceiver>(*ap, cfg.streaming));
-    }
-    std::vector<Vec2> positions;
-    for (const AccessPoint* ap : ptrs) positions.push_back(ap->config().position);
-    Coordinator coord(cfg.coordinator);
-    std::size_t sequence = 0;
-    std::vector<EngineDecision> out;
-    auto decide_round =
-        [&](std::vector<std::vector<StreamingReceiver::StreamPacket>> per_ap) {
-          for (auto& g : group_frame_observations(std::move(per_ap), positions,
-                                                  cfg.group_slack_samples)) {
-            out.push_back({sequence++, g.absolute_start,
-                           coord.process(g.observations)});
-          }
-        };
-    for (const auto& round : rounds) {
-      std::vector<std::vector<StreamingReceiver::StreamPacket>> per_ap;
-      for (std::size_t i = 0; i < streams.size(); ++i) {
-        per_ap.push_back(streams[i]->push(round[i]));
-      }
-      decide_round(std::move(per_ap));
-    }
-    std::vector<std::vector<StreamingReceiver::StreamPacket>> tail;
-    for (auto& s : streams) tail.push_back(s->flush());
-    decide_round(std::move(tail));
-    return out;
-  }
-};
-
-void expect_identical_streams(const std::vector<EngineDecision>& a,
-                              const std::vector<EngineDecision>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(a[i].sequence, b[i].sequence);
-    EXPECT_EQ(a[i].absolute_start, b[i].absolute_start);
-    const FrameDecision& da = a[i].decision;
-    const FrameDecision& db = b[i].decision;
-    EXPECT_EQ(da.accepted, db.accepted);
-    EXPECT_EQ(da.action(), db.action());
-    EXPECT_EQ(da.policy, db.policy);
-    EXPECT_EQ(da.source, db.source);
-    EXPECT_EQ(da.spoof, db.spoof);
-    EXPECT_EQ(da.spoof_score, db.spoof_score);  // bit-exact, not approximate
-    ASSERT_EQ(da.location.has_value(), db.location.has_value());
-    if (da.location) {
-      EXPECT_EQ(da.location->position.x, db.location->position.x);
-      EXPECT_EQ(da.location->position.y, db.location->position.y);
-      EXPECT_EQ(da.location->residual_deg, db.location->residual_deg);
-      EXPECT_EQ(da.location->aps_used, db.location->aps_used);
-    }
-    EXPECT_EQ(da.detail, db.detail);
-    ASSERT_EQ(da.trace.size(), db.trace.size());
-    for (std::size_t t = 0; t < da.trace.size(); ++t) {
-      EXPECT_EQ(da.trace[t].policy, db.trace[t].policy);
-      EXPECT_EQ(da.trace[t].dropped, db.trace[t].dropped);
-      EXPECT_EQ(da.trace[t].detail, db.trace[t].detail);
-    }
-  }
-}
-
-TEST(Engine, MatchesSerialCoordinatorAtAnyThreadCount) {
-  for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
-    SCOPED_TRACE(seed);
-    EngineRig rig(seed);
-    const auto reference = rig.run_serial_reference();
-    // The workload must actually exercise the pipeline: every
-    // transmission heard, and multiple verdicts represented.
-    ASSERT_GE(reference.size(), 5u);
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(threads);
-      expect_identical_streams(rig.run_engine(threads), reference);
-    }
-  }
-}
-
-TEST(Engine, WidebandSubbandsAreThreadCountInvariant) {
-  // subbands = 4: per-frame work fans out as (frame, band) tasks, and the
-  // re-sequenced decision stream must still be identical at any thread
-  // count — and identical to the serial reference, whose demodulate runs
-  // the same per-band pipeline inline.
-  EngineRig rig(11, /*subbands=*/4);
-  const auto reference = rig.run_serial_reference();
-  ASSERT_GE(reference.size(), 5u);
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE(threads);
-    expect_identical_streams(rig.run_engine(threads), reference);
-  }
-}
-
-TEST(Engine, ShardCountDoesNotChangeDecisions) {
-  EngineRig rig(11);
-  const auto with_one_shard = rig.run_engine(2, 1);
-  const auto with_many_shards = rig.run_engine(2, 32);
-  expect_identical_streams(with_one_shard, with_many_shards);
-}
-
-TEST(Engine, StatsMatchSerialCoordinator) {
-  EngineRig rig(12);
-  EngineConfig cfg = rig.engine_config();
-  cfg.num_threads = 4;
-  DeploymentEngine engine(cfg, rig.ptrs);
-  std::size_t decisions = 0;
-  for (const auto& round : rig.rounds) decisions += engine.ingest(round).size();
-  decisions += engine.flush().size();
-  EXPECT_EQ(engine.stats().frames, decisions);
-  const auto serial = rig.run_serial_reference();
-  EXPECT_EQ(engine.stats().frames, serial.size());
-  // Both defenses fired somewhere in the mixed workload.
-  EXPECT_GT(engine.stats().accepted, 0u);
-  EXPECT_GT(engine.spoof_detector().stats().tracked_macs, 0u);
-}
-
-TEST(Engine, GroupingFusesApViewsDeterministically) {
-  EngineRig rig(13);
-  EngineConfig cfg = rig.engine_config();
-  cfg.num_threads = 2;
-  DeploymentEngine engine(cfg, rig.ptrs);
-  // Each transmission is one frame: decisions come back re-sequenced
-  // into one gap-free global order.
-  std::vector<std::size_t> seen_sequences;
-  for (const auto& round : rig.rounds) {
-    for (const auto& d : engine.ingest(round)) {
-      seen_sequences.push_back(d.sequence);
-    }
-  }
-  for (const auto& d : engine.flush()) seen_sequences.push_back(d.sequence);
-  ASSERT_FALSE(seen_sequences.empty());
-  for (std::size_t i = 0; i < seen_sequences.size(); ++i) {
-    EXPECT_EQ(seen_sequences[i], i);  // re-sequenced, gap-free
-  }
-}
-
-TEST(Engine, RejectsMismatchedChunkCount) {
-  EngineRig rig(11);
-  EngineConfig cfg = rig.engine_config();
-  DeploymentEngine engine(cfg, rig.ptrs);
-  std::vector<CMat> wrong(rig.ptrs.size() + 1);
-  EXPECT_THROW(engine.ingest(wrong), InvalidArgument);
-}
-
-// --------------------------------------------------------- policy chain
-
-TEST(Engine, FivePolicyChainIsThreadCountInvariant) {
-  EngineRig rig(11);
-  EngineConfig base = rig.five_policy_config();
-  base.num_threads = 1;
-  const auto reference = rig.run_engine_with(base);
-  ASSERT_GE(reference.size(), 5u);
-  for (std::size_t threads : {2u, 8u}) {
-    SCOPED_TRACE(threads);
-    EngineConfig cfg = rig.five_policy_config();
-    cfg.num_threads = threads;
-    expect_identical_streams(rig.run_engine_with(cfg), reference);
-  }
-}
-
-TEST(Engine, FivePolicyChainStatsSumToFrames) {
-  EngineRig rig(12);
-  EngineConfig cfg = rig.five_policy_config();
-  cfg.num_threads = 4;
-  DeploymentEngine engine(cfg, rig.ptrs);
-  std::size_t decisions = 0;
-  for (const auto& round : rig.rounds) decisions += engine.ingest(round).size();
-  decisions += engine.flush().size();
-
-  const auto& chain = engine.chain();
-  ASSERT_EQ(chain.size(), 5u);
-  EXPECT_EQ(chain.policy(0).name(), DecodePolicy::kName);
-  EXPECT_EQ(chain.policy(1).name(), AclPolicy::kName);
-  EXPECT_EQ(chain.policy(2).name(), SpoofPolicy::kName);
-  EXPECT_EQ(chain.policy(3).name(), FencePolicy::kName);
-  EXPECT_EQ(chain.policy(4).name(), RateLimitPolicy::kName);
-
-  // Every frame is either accepted by the whole chain or dropped by
-  // exactly one policy.
-  EXPECT_EQ(chain.frames(), decisions);
-  std::size_t drops = 0;
-  for (const auto& ps : chain.policy_stats()) {
-    drops += ps.dropped;
-    EXPECT_EQ(ps.evaluated, ps.accepted + ps.dropped);
-  }
-  EXPECT_EQ(chain.accepted() + drops, chain.frames());
-
-  // A policy only ever evaluates what its predecessors let through.
-  for (std::size_t i = 1; i < chain.size(); ++i) {
-    EXPECT_LE(chain.policy_stats()[i].evaluated,
-              chain.policy_stats()[i - 1].accepted);
-  }
-
-  // The legacy stats view agrees with the per-policy counters.
-  const auto st = engine.stats();
-  EXPECT_EQ(st.frames, chain.frames());
-  EXPECT_EQ(st.accepted, chain.accepted());
-  EXPECT_EQ(st.dropped_policy, chain.drops(AclPolicy::kName) +
-                                   chain.drops(RateLimitPolicy::kName));
-
-  // The off-site transmitter's unknown MAC hits the ACL; the busiest MAC
-  // trips the tight rate limit.
-  EXPECT_GT(chain.drops(AclPolicy::kName) + chain.drops(DecodePolicy::kName),
-            0u);
-  EXPECT_GT(chain.drops(RateLimitPolicy::kName), 0u);
-}
-
-TEST(Engine, ChainWithoutSpoofSkipsTrackerState) {
-  EngineRig rig(11);
-  EngineConfig cfg = rig.engine_config();
-  cfg.coordinator.policies = {PolicyKind::kFence};
-  cfg.num_threads = 2;
-  DeploymentEngine engine(cfg, rig.ptrs);
-  for (const auto& round : rig.rounds) engine.ingest(round);
-  engine.flush();
-  // No SpoofPolicy in the chain: trackers must not have trained.
-  EXPECT_EQ(engine.spoof_detector().stats().packets, 0u);
-  EXPECT_EQ(engine.spoof_detector().stats().tracked_macs, 0u);
-  EXPECT_FALSE(engine.chain().contains(SpoofPolicy::kName));
-}
-
-// ------------------------------------------------------------- grouping
 
 using StreamPacket = StreamingReceiver::StreamPacket;
 

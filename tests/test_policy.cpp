@@ -539,44 +539,6 @@ TEST(ShardedSpoofDetector, SplitsTrackerBudgetAcrossShards) {
   EXPECT_EQ(det.stats().packets, 64u);
 }
 
-TEST(ShardedSpoofDetector, TicketsApplyInReservedOrderAcrossOutOfOrderFulfil) {
-  // The engine session's pipelined path: tickets are reserved in global
-  // frame order, but workers may fulfil them in any order. The shard
-  // must park early arrivals and apply everything in reserved order —
-  // the gap-closing fulfil delivers the parked ticket's callback too.
-  ShardedSpoofDetector det(TrackerConfig{}, /*num_shards=*/4);
-  const auto mac = MacAddress::from_index(1);
-  const auto sig1 = SubbandSignature::single(signature_at(40.0));
-  const auto sig2 = SubbandSignature::single(signature_at(40.0));
-
-  const SpoofTicket t1 = det.reserve(mac);
-  const SpoofTicket t2 = det.reserve(mac);
-  EXPECT_EQ(t1.shard, t2.shard);
-  EXPECT_EQ(t2.seq, t1.seq + 1);
-
-  std::vector<int> order;
-  // Fulfil the *second* ticket first: it must park (no callback yet).
-  det.fulfil(t2, mac, sig2, [&](SpoofObservation, std::exception_ptr error) {
-    EXPECT_EQ(error, nullptr);
-    order.push_back(2);
-  });
-  EXPECT_TRUE(order.empty());
-  EXPECT_EQ(det.stats().packets, 0u);
-  // Fulfilling the first closes the gap and applies both, in order.
-  det.fulfil(t1, mac, sig1, [&](SpoofObservation obs, std::exception_ptr error) {
-    EXPECT_EQ(error, nullptr);
-    EXPECT_EQ(obs.verdict, SpoofVerdict::kTraining);
-    order.push_back(1);
-  });
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-  EXPECT_EQ(det.stats().packets, 2u);
-  // Both observations trained the same tracker, in frame order.
-  ASSERT_NE(det.tracker(mac), nullptr);
-  EXPECT_EQ(det.tracker(mac)->observations(), 2u);
-}
-
 TEST(ShardedSpoofDetector, RejectsBoundSmallerThanShardCount) {
   const auto make = [] {
     ShardedSpoofDetector det(TrackerConfig{}, /*num_shards=*/8,

@@ -1,16 +1,19 @@
-// Tests for the push-based EngineSession: pipelined submission must
-// emit a decision stream identical to the serial single-threaded
-// reference (and to the lock-step batch engine) at any thread count,
-// backpressure must bound the in-flight work without changing output,
-// and drain()/close() lifecycle semantics must hold mid-stream.
+// Tests for the EngineSession: lock-step and pipelined submission must
+// both emit a decision stream identical to the serial single-threaded
+// reference — serial StreamingReceivers feeding the same grouping and a
+// plain Coordinator — at any thread count and any shard count, over the
+// Figure-4 office scenario across multiple seeds. Backpressure must
+// bound the in-flight work without changing output, drain()/close()
+// lifecycle semantics must hold mid-stream. The cross-AP grouping rules
+// themselves are tested in test_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sa/common/rng.hpp"
-#include "sa/engine/deployment.hpp"
 #include "sa/engine/session.hpp"
 #include "sa/mac/frame.hpp"
 #include "sa/phy/packet.hpp"
@@ -22,7 +25,7 @@ namespace {
 
 /// Figure-4 office, 3 APs, and a pre-generated mixed workload:
 /// legitimate ring clients, a MAC-spoofing insider, and an off-site
-/// transmitter (the same shape as test_engine's rig).
+/// transmitter.
 struct SessionRig {
   OfficeTestbed tb = OfficeTestbed::figure4();
   Rng rng;
@@ -55,7 +58,9 @@ struct SessionRig {
     for (int p = 0; p < 2; ++p) {
       for (int id : {1, 2}) shoot(tb.client(id).position, id, nullptr);
     }
+    // Insider spoofing client 2's MAC from the far office.
     for (int p = 0; p < 2; ++p) shoot(tb.client(17).position, 2, nullptr);
+    // Off-site transmitter with a power amp.
     TxPattern amp;
     amp.tx_power_db = 15.0;
     shoot(tb.outdoor_positions()[0], 200, &amp);
@@ -69,17 +74,43 @@ struct SessionRig {
     return cfg;
   }
 
-  /// Push every round without waiting (the pipelined schedule: the
-  /// front-end runs ahead of the back-end), then drain.
-  std::vector<EngineDecision> run_session(SessionConfig cfg,
+  /// Decode + acl + spoof + fence + rate: the full built-in chain. The
+  /// ACL allows the legitimate MACs (so the spoofed insider passes it and
+  /// must be caught downstream) but not the off-site transmitter's; the
+  /// tight rate limit fires on the busiest MAC.
+  SessionConfig five_policy_config(std::size_t threads) const {
+    SessionConfig cfg = session_config(threads);
+    cfg.engine.coordinator.policies = {PolicyKind::kAcl, PolicyKind::kSpoof,
+                                       PolicyKind::kFence,
+                                       PolicyKind::kRateLimit};
+    AccessControlList acl;
+    acl.allow(MacAddress::from_index(1));
+    acl.allow(MacAddress::from_index(2));
+    cfg.engine.coordinator.acl = std::move(acl);
+    cfg.engine.coordinator.rate_limit.max_frames = 3;
+    cfg.engine.coordinator.rate_limit.window_frames = 1024;
+    return cfg;
+  }
+
+  /// Submit every round, then drain. Lock-step waits each round's
+  /// decisions out before submitting the next; otherwise every round is
+  /// pushed without waiting (the pipelined schedule: the front-end runs
+  /// ahead of the back-end).
+  void feed(EngineSession& session, bool lockstep) const {
+    for (const auto& round : rounds) {
+      session.submit_round(round);
+      if (lockstep) session.wait_idle();
+    }
+    session.drain();
+  }
+
+  std::vector<EngineDecision> run_session(const SessionConfig& cfg,
+                                          bool lockstep = false,
                                           SessionStats* stats_out = nullptr) {
     std::vector<EngineDecision> out;
     EngineSession session(cfg, ptrs,
                           [&](const EngineDecision& d) { out.push_back(d); });
-    for (const auto& round : rounds) {
-      session.submit_round(round);
-    }
-    session.drain();
+    feed(session, lockstep);
     if (stats_out != nullptr) *stats_out = session.session_stats();
     session.close();
     return out;
@@ -143,8 +174,8 @@ void expect_identical_streams(const std::vector<EngineDecision>& a,
     const FrameDecision& da = a[i].decision;
     const FrameDecision& db = b[i].decision;
     EXPECT_EQ(da.accepted, db.accepted);
+    EXPECT_EQ(da.action(), db.action());
     EXPECT_EQ(da.policy, db.policy);
-    EXPECT_EQ(da.detail, db.detail);
     EXPECT_EQ(da.source, db.source);
     EXPECT_EQ(da.spoof, db.spoof);
     EXPECT_EQ(da.spoof_score, db.spoof_score);  // bit-exact, not approximate
@@ -152,88 +183,167 @@ void expect_identical_streams(const std::vector<EngineDecision>& a,
     if (da.location) {
       EXPECT_EQ(da.location->position.x, db.location->position.x);
       EXPECT_EQ(da.location->position.y, db.location->position.y);
+      EXPECT_EQ(da.location->residual_deg, db.location->residual_deg);
+      EXPECT_EQ(da.location->aps_used, db.location->aps_used);
     }
+    EXPECT_EQ(da.detail, db.detail);
     ASSERT_EQ(da.trace.size(), db.trace.size());
     for (std::size_t t = 0; t < da.trace.size(); ++t) {
       EXPECT_EQ(da.trace[t].policy, db.trace[t].policy);
       EXPECT_EQ(da.trace[t].dropped, db.trace[t].dropped);
+      EXPECT_EQ(da.trace[t].detail, db.trace[t].detail);
     }
   }
 }
 
-TEST(Session, PipelinedSubmissionMatchesSerialReferenceAtAnyThreadCount) {
-  for (std::uint64_t seed : {11ull, 13ull}) {
+/// Names one (thread count, schedule) point for SCOPED_TRACE.
+std::string schedule_name(std::size_t threads, bool lockstep) {
+  return std::to_string(threads) +
+         (lockstep ? " thread(s), lock-step" : " thread(s), pipelined");
+}
+
+TEST(Session, LockStepAndPipelinedMatchSerialReferenceAtAnyThreadCount) {
+  for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
     SCOPED_TRACE(seed);
     SessionRig rig(seed);
     const auto reference = rig.run_serial_reference();
+    // The workload must actually exercise the pipeline: every
+    // transmission heard, and multiple verdicts represented.
     ASSERT_GE(reference.size(), 5u);
     for (std::size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(threads);
-      expect_identical_streams(rig.run_session(rig.session_config(threads)),
-                               reference);
+      for (bool lockstep : {true, false}) {
+        SCOPED_TRACE(schedule_name(threads, lockstep));
+        expect_identical_streams(
+            rig.run_session(rig.session_config(threads), lockstep), reference);
+      }
     }
   }
 }
 
-TEST(Session, WidebandPipelinedRoundsAreDeterministic) {
+TEST(Session, WidebandSubbandsMatchSerialReferenceAtAnyThreadCount) {
+  // subbands = 4: the re-sequenced decision stream must still be
+  // identical at any thread count — and identical to the serial
+  // reference, whose demodulate runs the same per-band pipeline inline.
   SessionRig rig(11, /*subbands=*/4);
   const auto reference = rig.run_serial_reference();
   ASSERT_GE(reference.size(), 5u);
-  for (std::size_t threads : {2u, 8u}) {
-    SCOPED_TRACE(threads);
-    expect_identical_streams(rig.run_session(rig.session_config(threads)),
-                             reference);
-  }
-}
-
-TEST(Session, MatchesBatchEngineByteForByte) {
-  SessionRig rig(12);
-  // The lock-step batch wrapper...
-  std::vector<EngineDecision> batch;
-  {
-    EngineConfig cfg = rig.session_config(2).engine;
-    DeploymentEngine engine(cfg, rig.ptrs);
-    for (const auto& round : rig.rounds) {
-      for (auto& d : engine.ingest(round)) batch.push_back(std::move(d));
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    for (bool lockstep : {true, false}) {
+      SCOPED_TRACE(schedule_name(threads, lockstep));
+      expect_identical_streams(
+          rig.run_session(rig.session_config(threads), lockstep), reference);
     }
-    for (auto& d : engine.flush()) batch.push_back(std::move(d));
   }
-  // ...and the pipelined session must agree exactly.
-  expect_identical_streams(rig.run_session(rig.session_config(2)), batch);
 }
 
-TEST(Session, FivePolicyChainPipelinedMatchesBatch) {
-  // acl -> spoof -> fence -> rate through the pipelined path: stateful
-  // policies (rate limiting by global frame index, spoof trackers) must
-  // see exactly the stream the lock-step batch wrapper produces.
+TEST(Session, ShardCountDoesNotChangeDecisions) {
   SessionRig rig(11);
-  auto five = [&](std::size_t threads) {
-    SessionConfig cfg = rig.session_config(threads);
-    cfg.engine.coordinator.policies = {PolicyKind::kAcl, PolicyKind::kSpoof,
-                                       PolicyKind::kFence,
-                                       PolicyKind::kRateLimit};
-    AccessControlList acl;
-    acl.allow(MacAddress::from_index(1));
-    acl.allow(MacAddress::from_index(2));
-    cfg.engine.coordinator.acl = std::move(acl);
-    cfg.engine.coordinator.rate_limit.max_frames = 3;
-    cfg.engine.coordinator.rate_limit.window_frames = 1024;
-    return cfg;
-  };
-  std::vector<EngineDecision> batch;
-  {
-    DeploymentEngine engine(five(1).engine, rig.ptrs);
-    for (const auto& round : rig.rounds) {
-      for (auto& d : engine.ingest(round)) batch.push_back(std::move(d));
+  SessionConfig one = rig.session_config(2);
+  one.engine.num_shards = 1;
+  SessionConfig many = rig.session_config(2);
+  many.engine.num_shards = 32;
+  expect_identical_streams(rig.run_session(one, /*lockstep=*/true),
+                           rig.run_session(many, /*lockstep=*/true));
+}
+
+TEST(Session, StatsMatchSerialCoordinatorWithGapFreeSequences) {
+  SessionRig rig(12);
+  std::vector<EngineDecision> out;
+  EngineSession session(rig.session_config(4), rig.ptrs,
+                        [&](const EngineDecision& d) { out.push_back(d); });
+  rig.feed(session, /*lockstep=*/true);
+  EXPECT_EQ(session.stats().frames, out.size());
+  EXPECT_EQ(session.stats().frames, rig.run_serial_reference().size());
+  // Decisions come back re-sequenced into one gap-free global order.
+  ASSERT_FALSE(out.empty());
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].sequence, i);
+  // Both defenses fired somewhere in the mixed workload.
+  EXPECT_GT(session.stats().accepted, 0u);
+  EXPECT_GT(session.spoof_detector().stats().tracked_macs, 0u);
+  session.close();
+}
+
+// --------------------------------------------------------- policy chain
+
+TEST(Session, FivePolicyChainIsScheduleAndThreadCountInvariant) {
+  // acl -> spoof -> fence -> rate: stateful policies (rate limiting by
+  // global frame index, spoof trackers) must see exactly the same stream
+  // under either schedule at any thread count.
+  SessionRig rig(11);
+  const auto reference =
+      rig.run_session(rig.five_policy_config(1), /*lockstep=*/true);
+  ASSERT_GE(reference.size(), 5u);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    for (bool lockstep : {true, false}) {
+      if (threads == 1 && lockstep) continue;  // the reference itself
+      SCOPED_TRACE(schedule_name(threads, lockstep));
+      expect_identical_streams(
+          rig.run_session(rig.five_policy_config(threads), lockstep),
+          reference);
     }
-    for (auto& d : engine.flush()) batch.push_back(std::move(d));
-  }
-  ASSERT_GE(batch.size(), 5u);
-  for (std::size_t threads : {2u, 8u}) {
-    SCOPED_TRACE(threads);
-    expect_identical_streams(rig.run_session(five(threads)), batch);
   }
 }
+
+TEST(Session, FivePolicyChainStatsSumToFrames) {
+  SessionRig rig(12);
+  std::size_t decisions = 0;
+  EngineSession session(rig.five_policy_config(4), rig.ptrs,
+                        [&](const EngineDecision&) { ++decisions; });
+  rig.feed(session, /*lockstep=*/true);
+
+  const auto& chain = session.chain();
+  ASSERT_EQ(chain.size(), 5u);
+  EXPECT_EQ(chain.policy(0).name(), DecodePolicy::kName);
+  EXPECT_EQ(chain.policy(1).name(), AclPolicy::kName);
+  EXPECT_EQ(chain.policy(2).name(), SpoofPolicy::kName);
+  EXPECT_EQ(chain.policy(3).name(), FencePolicy::kName);
+  EXPECT_EQ(chain.policy(4).name(), RateLimitPolicy::kName);
+
+  // Every frame is either accepted by the whole chain or dropped by
+  // exactly one policy.
+  EXPECT_EQ(chain.frames(), decisions);
+  std::size_t drops = 0;
+  for (const auto& ps : chain.policy_stats()) {
+    drops += ps.dropped;
+    EXPECT_EQ(ps.evaluated, ps.accepted + ps.dropped);
+  }
+  EXPECT_EQ(chain.accepted() + drops, chain.frames());
+
+  // A policy only ever evaluates what its predecessors let through.
+  for (std::size_t i = 1; i < chain.size(); ++i) {
+    EXPECT_LE(chain.policy_stats()[i].evaluated,
+              chain.policy_stats()[i - 1].accepted);
+  }
+
+  // The legacy stats view agrees with the per-policy counters.
+  const auto st = session.stats();
+  EXPECT_EQ(st.frames, chain.frames());
+  EXPECT_EQ(st.accepted, chain.accepted());
+  EXPECT_EQ(st.dropped_policy, chain.drops(AclPolicy::kName) +
+                                   chain.drops(RateLimitPolicy::kName));
+
+  // The off-site transmitter's unknown MAC hits the ACL; the busiest MAC
+  // trips the tight rate limit.
+  EXPECT_GT(chain.drops(AclPolicy::kName) + chain.drops(DecodePolicy::kName),
+            0u);
+  EXPECT_GT(chain.drops(RateLimitPolicy::kName), 0u);
+  session.close();
+}
+
+TEST(Session, ChainWithoutSpoofSkipsTrackerState) {
+  SessionRig rig(11);
+  SessionConfig cfg = rig.session_config(2);
+  cfg.engine.coordinator.policies = {PolicyKind::kFence};
+  EngineSession session(cfg, rig.ptrs, [](const EngineDecision&) {});
+  rig.feed(session, /*lockstep=*/true);
+  // No SpoofPolicy in the chain: trackers must not have trained.
+  EXPECT_EQ(session.spoof_detector().stats().packets, 0u);
+  EXPECT_EQ(session.spoof_detector().stats().tracked_macs, 0u);
+  EXPECT_FALSE(session.chain().contains(SpoofPolicy::kName));
+  session.close();
+}
+
+// ------------------------------------------------------------- session
 
 TEST(Session, BackpressureSaturationBoundsInflightWithoutChangingOutput) {
   SessionRig rig(11);
@@ -242,7 +352,8 @@ TEST(Session, BackpressureSaturationBoundsInflightWithoutChangingOutput) {
   SessionConfig tight = rig.session_config(4);
   tight.max_inflight_frames = 1;  // every round must run alone
   SessionStats stats;
-  expect_identical_streams(rig.run_session(tight, &stats), reference);
+  expect_identical_streams(rig.run_session(tight, /*lockstep=*/false, &stats),
+                           reference);
   // A budget smaller than any round means a round is only admitted once
   // the pipeline is empty: rounds never hold budget concurrently.
   EXPECT_EQ(stats.max_admitted_rounds, 1u);
@@ -310,7 +421,8 @@ TEST(Session, CloseIsIdempotentAndRejectsLateWork) {
 TEST(Session, StatsCountChunksRoundsAndDecisions) {
   SessionRig rig(12);
   SessionStats stats;
-  const auto out = rig.run_session(rig.session_config(4), &stats);
+  const auto out =
+      rig.run_session(rig.session_config(4), /*lockstep=*/false, &stats);
   EXPECT_EQ(stats.chunks_submitted, rig.rounds.size() * rig.ptrs.size());
   // Every submitted round plus the drain's flush pass completed.
   EXPECT_GE(stats.rounds_completed, rig.rounds.size() + 1);
@@ -330,7 +442,8 @@ TEST(Session, SubmitRingBackpressureBlocksWithoutChangingOutput) {
   cfg.max_pending_chunks = 1;
   cfg.max_inflight_rounds = 1;
   SessionStats stats;
-  expect_identical_streams(rig.run_session(cfg, &stats), reference);
+  expect_identical_streams(rig.run_session(cfg, /*lockstep=*/false, &stats),
+                           reference);
   EXPECT_GT(stats.submit_ring_full_blocks, 0u);
   EXPECT_LE(stats.max_submit_ring_occupancy, 1u);
 }
@@ -343,7 +456,8 @@ TEST(Session, WorkerPlacementPinningIsDeterministicAndObservable) {
   cfg.placement.pin_workers = true;
   cfg.placement.cores = {0};  // every worker on core 0: worst case, legal
   SessionStats stats;
-  expect_identical_streams(rig.run_session(cfg, &stats), reference);
+  expect_identical_streams(rig.run_session(cfg, /*lockstep=*/false, &stats),
+                           reference);
 #if defined(__linux__)
   EXPECT_EQ(stats.workers_pinned, 2u);
 #else

@@ -432,9 +432,13 @@ void expect_packets_bit_identical(
     EXPECT_EQ(g.detection.fine_peak, w.detection.fine_peak);
     // Decode and AoA results bit-exact.
     ASSERT_EQ(g.phy.has_value(), w.phy.has_value());
-    if (w.phy) EXPECT_EQ(g.phy->psdu, w.phy->psdu);
+    if (w.phy) {
+      EXPECT_EQ(g.phy->psdu, w.phy->psdu);
+    }
     ASSERT_EQ(g.frame.has_value(), w.frame.has_value());
-    if (w.frame) EXPECT_EQ(g.frame->sequence, w.frame->sequence);
+    if (w.frame) {
+      EXPECT_EQ(g.frame->sequence, w.frame->sequence);
+    }
     EXPECT_EQ(g.bearing_array_deg, w.bearing_array_deg);
     ASSERT_EQ(g.signature.spectrum().size(), w.signature.spectrum().size());
     for (std::size_t s = 0; s < w.signature.spectrum().size(); ++s) {
@@ -610,7 +614,9 @@ TEST(Streaming, ScratchDemodulateBitIdentical) {
     for (const auto* p : {&*reused, &*again}) {
       EXPECT_EQ(p->bearing_array_deg, plain->bearing_array_deg);
       ASSERT_EQ(p->phy.has_value(), plain->phy.has_value());
-      if (plain->phy) EXPECT_EQ(p->phy->psdu, plain->phy->psdu);
+      if (plain->phy) {
+        EXPECT_EQ(p->phy->psdu, plain->phy->psdu);
+      }
       ASSERT_EQ(p->signature.spectrum().size(),
                 plain->signature.spectrum().size());
       for (std::size_t i = 0; i < plain->signature.spectrum().size(); ++i) {
@@ -663,7 +669,9 @@ TEST(Streaming, ScratchPrepareBitIdenticalWideband) {
       EXPECT_EQ(reused->bands[b].lambda_m(), plain->bands[b].lambda_m());
     }
     ASSERT_EQ(reused->phy.has_value(), plain->phy.has_value());
-    if (plain->phy) EXPECT_EQ(reused->phy->psdu, plain->phy->psdu);
+    if (plain->phy) {
+      EXPECT_EQ(reused->phy->psdu, plain->phy->psdu);
+    }
   }
 }
 

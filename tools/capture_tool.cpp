@@ -16,14 +16,17 @@
 //   capture_tool mutate   IN OUT SEED [OPS]
 //   capture_tool mutate-nan IN OUT         # poison the first IQ sample
 //   capture_tool replay   FILE [--threads N] [--out PATH] [--expect-reject]
-//   capture_tool replay   FILE --fleet [--threads N]   # version-2 fleet
-//                         captures: rebuild the whole fleet from the
-//                         header, re-drive chunks, handoffs and drains in
-//                         file order, byte-compare every site's decision
-//                         track
+//                         # fleet captures (SACP version >= 2) rebuild
+//                         # the whole fleet from the header, re-drive
+//                         # chunks, handoffs and drains in file order and
+//                         # byte-compare every site's decision track;
+//                         # --out and --expect-reject are single-site only
 //   capture_tool fuzz     FILE [--seed S] [--count N] [--ops K]
 //                              [--no-replay] [--policies CSV]
-//                              [--max-tracked N] [--fleet]
+//                              [--max-tracked N]
+//                         # --policies and --max-tracked are single-site
+//                         # only; a fleet capture's mutants replay
+//                         # through the fleet driver
 //   capture_tool fuzz-wire [--seed S] [--count N] [--ops K]
 //                         # blind byte-flips of every FleetWire frame
 //                         # kind (kClientState, kTransportData, kAck)
@@ -80,11 +83,11 @@ namespace {
                "       capture_tool mutate   IN OUT SEED [OPS]\n"
                "       capture_tool mutate-nan IN OUT\n"
                "       capture_tool replay   FILE [--threads N] [--out PATH]\n"
-               "                                  [--expect-reject] [--fleet]\n"
+               "                                  [--expect-reject]\n"
                "       capture_tool fuzz     FILE [--seed S] [--count N]\n"
                "                                  [--ops K] [--no-replay]\n"
                "                                  [--policies CSV]\n"
-               "                                  [--max-tracked N] [--fleet]\n"
+               "                                  [--max-tracked N]\n"
                "       capture_tool fuzz-wire [--seed S] [--count N] [--ops K]\n"
                "       capture_tool chaos    [--sites N] [--clients C]\n"
                "                             [--moves M] [--seeds CSV]\n"
@@ -117,6 +120,13 @@ void write_file_or_die(const std::string& path, const ByteStream& data) {
     std::exit(1);
   }
   std::fclose(f);
+}
+
+/// Fleet captures (SACP version >= 2) take the fleet replay driver;
+/// everything else, malformed headers included, the single-site one.
+bool is_fleet_capture(const std::string& path) {
+  const CaptureReader reader(read_file_or_die(path));
+  return reader.header() && reader.header()->version >= kSacpVersionFleet;
 }
 
 int cmd_inspect(const std::string& path) {
@@ -979,7 +989,6 @@ int main(int argc, char** argv) {
     std::string out;
     std::size_t threads = 1;
     bool expect_reject = false;
-    bool fleet = false;
     for (std::size_t i = 0; i < args.size(); ++i) {
       if (args[i] == "--threads" && i + 1 < args.size()) {
         threads = std::strtoull(args[++i].c_str(), nullptr, 10);
@@ -987,8 +996,6 @@ int main(int argc, char** argv) {
         out = args[++i];
       } else if (args[i] == "--expect-reject") {
         expect_reject = true;
-      } else if (args[i] == "--fleet") {
-        fleet = true;
       } else if (path.empty() && !args[i].empty() && args[i][0] != '-') {
         path = args[i];
       } else {
@@ -996,7 +1003,7 @@ int main(int argc, char** argv) {
       }
     }
     if (path.empty()) usage();
-    if (fleet) {
+    if (is_fleet_capture(path)) {
       if (!out.empty() || expect_reject) usage();
       return cmd_replay_fleet(path, threads);
     }
@@ -1008,7 +1015,6 @@ int main(int argc, char** argv) {
     std::size_t count = 32;
     std::size_t ops = 8;
     bool with_replay = true;
-    bool fleet = false;
     std::string policies;
     std::size_t max_tracked = 0;
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -1020,8 +1026,6 @@ int main(int argc, char** argv) {
         ops = std::strtoull(args[++i].c_str(), nullptr, 10);
       } else if (args[i] == "--no-replay") {
         with_replay = false;
-      } else if (args[i] == "--fleet") {
-        fleet = true;
       } else if (args[i] == "--policies" && i + 1 < args.size()) {
         policies = args[++i];
       } else if (args[i] == "--max-tracked" && i + 1 < args.size()) {
@@ -1033,7 +1037,7 @@ int main(int argc, char** argv) {
       }
     }
     if (path.empty()) usage();
-    if (fleet) {
+    if (is_fleet_capture(path)) {
       if (!policies.empty() || max_tracked != 0) usage();
       return cmd_fuzz_fleet(path, seed, count, ops, with_replay);
     }

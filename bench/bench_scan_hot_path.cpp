@@ -6,11 +6,15 @@
 // Also times the per-frame covariance with and without the block copy.
 //
 // The headline claims this bench exists to check:
-//   - incremental scan cost scales with the chunk, not the history
-//     (the remaining O(history) terms — the origin-dependent coarse
-//     Schmidl-Cox recurrences and the snapshot copy — are light);
+//   - incremental scan cost scales with the chunk, not the history:
+//     each scan computes the anchored coarse Schmidl-Cox terms of its
+//     new positions only (plus at most kScAnchor - 1 head positions
+//     after a trim), and its snapshot holds only the columns from the
+//     first candidate on — both printed per scan, as counts;
 //   - conditioning is paid once per sample, not once per scan;
 //   - the fine-timing searches are memoized (cache hits >> runs).
+// What still grows with the history is the decision loop's one compare
+// per window position.
 //
 // Usage: bench_scan_hot_path [--smoke]
 #include <chrono>
@@ -147,6 +151,9 @@ struct ScanCost {
   double scan_us = 0.0;    // mean per scan, steady state
   double decode_us = 0.0;  // demodulate + commit per round
   std::size_t frames = 0;
+  double coarse_per_scan = 0.0;    // coarse positions computed per scan
+  double fine_per_scan = 0.0;      // fine searches run per scan
+  double snapshot_cols = 0.0;      // columns per snapshot taken
 };
 
 /// Replay the stream through the incremental receiver; time scan()
@@ -156,13 +163,21 @@ ScanCost run_incremental(Workload& w, const StreamingConfig& cfg,
                          std::size_t chunk, std::size_t warmup) {
   StreamingReceiver rx(w.ap, cfg);
   ScanCost out;
+  const IncrementalScDetector& det = rx.incremental_detector();
   double scan_s = 0.0, decode_s = 0.0;
-  std::size_t rounds = 0, timed = 0;
+  std::size_t rounds = 0, timed = 0, coarse = 0, fine = 0, snapshots = 0,
+              snapshot_cols = 0;
   for (std::size_t at = 0; at + chunk <= w.stream.cols(); at += chunk) {
     const CMat c = w.chunk_at(at, chunk);
+    const std::size_t coarse0 = det.coarse_positions_computed();
+    const std::size_t fine0 = det.fine_searches_run();
     const auto t0 = Clock::now();
     auto scan = rx.scan(&c);
     const double st = secs_since(t0);
+    const std::size_t scan_coarse = det.coarse_positions_computed() - coarse0;
+    const std::size_t scan_fine = det.fine_searches_run() - fine0;
+    const std::size_t scan_cols =
+        scan.conditioned ? scan.conditioned->cols() : 0;
     const auto t1 = Clock::now();
     std::vector<std::optional<ReceivedPacket>> processed;
     processed.reserve(scan.candidates.size());
@@ -175,11 +190,24 @@ ScanCost run_incremental(Workload& w, const StreamingConfig& cfg,
       scan_s += st;
       decode_s += dt;
       ++timed;
+      coarse += scan_coarse;
+      fine += scan_fine;
+      if (scan.conditioned) {
+        ++snapshots;
+        snapshot_cols += scan_cols;
+      }
     }
   }
   if (timed > 0) {
-    out.scan_us = 1e6 * scan_s / static_cast<double>(timed);
-    out.decode_us = 1e6 * decode_s / static_cast<double>(timed);
+    const double n = static_cast<double>(timed);
+    out.scan_us = 1e6 * scan_s / n;
+    out.decode_us = 1e6 * decode_s / n;
+    out.coarse_per_scan = static_cast<double>(coarse) / n;
+    out.fine_per_scan = static_cast<double>(fine) / n;
+  }
+  if (snapshots > 0) {
+    out.snapshot_cols = static_cast<double>(snapshot_cols) /
+                        static_cast<double>(snapshots);
   }
   return out;
 }
@@ -228,38 +256,42 @@ int main(int argc, char** argv) {
               : std::vector<std::size_t>{250, 500, 1000, 2000, 4000};
     std::printf("\nscan cost vs chunk size (history %zu, %zu-sample stream):\n",
                 cfg.history_samples, w.stream.cols());
-    std::printf("%-8s %14s %14s %9s %16s %12s\n", "chunk", "legacy us/scan",
-                "incr us/scan", "speedup", "incr ns/sample", "decode us");
+    std::printf("%-8s %14s %14s %9s %16s %12s %12s %11s %13s\n", "chunk",
+                "legacy us/scan", "incr us/scan", "speedup", "incr ns/sample",
+                "decode us", "coarse/scan", "fine/scan", "snapshot cols");
     for (std::size_t chunk : chunks) {
       const std::size_t warmup = cfg.history_samples / chunk + 1;
       const double legacy_us = run_legacy(w, cfg, chunk, warmup, &sink);
       const ScanCost inc = run_incremental(w, cfg, chunk, warmup);
-      std::printf("%-8zu %14.1f %14.1f %8.1fx %16.1f %12.1f\n", chunk,
-                  legacy_us, inc.scan_us, legacy_us / inc.scan_us,
+      std::printf("%-8zu %14.1f %14.1f %8.1fx %16.1f %12.1f %12.1f %11.2f %13.1f\n",
+                  chunk, legacy_us, inc.scan_us, legacy_us / inc.scan_us,
                   1e3 * inc.scan_us / static_cast<double>(chunk),
-                  inc.decode_us);
+                  inc.decode_us, inc.coarse_per_scan, inc.fine_per_scan,
+                  inc.snapshot_cols);
     }
   }
 
   // ---- scan cost vs history length, fixed chunk: the incremental path
-  // should be nearly flat (its O(history) remainder is the light coarse
-  // recurrence + snapshot copy), the legacy path linear.
+  // should be nearly flat (its O(history) remainder is the decision
+  // loop's compare per window position), the legacy path linear.
   {
     const std::size_t chunk = 1000;
     const std::vector<std::size_t> histories =
         smoke ? std::vector<std::size_t>{6000, 24000}
               : std::vector<std::size_t>{6000, 12000, 24000, 48000};
     std::printf("\nscan cost vs history length (chunk %zu):\n", chunk);
-    std::printf("%-9s %14s %14s %9s\n", "history", "legacy us/scan",
-                "incr us/scan", "speedup");
+    std::printf("%-9s %14s %14s %9s %12s %13s\n", "history",
+                "legacy us/scan", "incr us/scan", "speedup", "coarse/scan",
+                "snapshot cols");
     for (std::size_t history : histories) {
       StreamingConfig cfg;
       cfg.history_samples = history;
       const std::size_t warmup = history / chunk + 1;
       const double legacy_us = run_legacy(w, cfg, chunk, warmup, &sink);
       const ScanCost inc = run_incremental(w, cfg, chunk, warmup);
-      std::printf("%-9zu %14.1f %14.1f %8.1fx\n", history, legacy_us,
-                  inc.scan_us, legacy_us / inc.scan_us);
+      std::printf("%-9zu %14.1f %14.1f %8.1fx %12.1f %13.1f\n", history,
+                  legacy_us, inc.scan_us, legacy_us / inc.scan_us,
+                  inc.coarse_per_scan, inc.snapshot_cols);
     }
   }
 

@@ -12,7 +12,7 @@
 //
 // Rows stay contiguous (row-major, stride = slab capacity), which is
 // what the consumers need: the packet detector streams row 0 left to
-// right, and materialize() is a straight per-row copy.
+// right, and materialize() is a straight per-row copy of a column range.
 #pragma once
 
 #include <cstddef>
@@ -62,10 +62,10 @@ class ColumnRing {
     return data_[r * cap_ + off_ + c];
   }
 
-  /// Copy the live window into `out` (resized to rows x cols) — the
-  /// per-scan snapshot materialization: a straight per-row copy with no
-  /// per-element math.
-  void materialize(CMat& out) const;
+  /// Copy window columns [first_col, cols()) into `out` (resized to
+  /// rows x (cols() - first_col)) — the per-scan snapshot
+  /// materialization: a straight per-row copy with no per-element math.
+  void materialize(CMat& out, std::size_t first_col = 0) const;
 
  private:
   /// Move the window to a slab of `new_cap` columns at offset 0.

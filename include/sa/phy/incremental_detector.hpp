@@ -1,22 +1,23 @@
 // Incremental Schmidl-Cox detection over an append-only sample window.
 //
-// StreamingReceiver used to re-run SchmidlCoxDetector::detect over its
-// whole history buffer on every scan, re-paying the LTF fine-timing
-// cross-correlation for every packet still inside the window — per scan,
-// per packet, every round. IncrementalScDetector produces detections
-// bit-identical to detect() run fresh over the same window, but caches
-// the expensive fine-timing searches by *absolute* sample position:
-// conditioned samples are immutable once appended, so a fine search whose
-// whole window was inside the buffer when it first ran returns the same
-// floats forever and is never recomputed.
+// StreamingReceiver scans its history window once per chunk. Run fresh,
+// SchmidlCoxDetector::detect would recompute the coarse P/R/M terms of
+// the whole window and re-run the LTF fine search of every packet still
+// inside it, every round. IncrementalScDetector returns exactly what
+// detect(window, base) returns — every field bit-identical — but keys
+// both costly stages by *absolute* sample position, because conditioned
+// samples never change once appended:
 //
-// What cannot be cached: the coarse P/R metric recurrences. detect()
-// computes them with running updates that accumulate from the window
-// origin (see lag_autocorrelation), so their floating-point values depend
-// on where the window starts — and the origin moves at every history
-// trim. scan() therefore replays those recurrences from the current
-// origin, term for term; they are O(window) but light (~a dozen flops per
-// sample), while everything heavy is O(new samples + packets).
+//   - Coarse terms: anchored at absolute positions (kScAnchor), so a
+//     position's P, R and M are final once computed. They are kept in
+//     rings keyed by absolute index; a scan computes only the positions
+//     the chunk added, plus the at most kScAnchor - 1 head positions
+//     before the window's first anchor when a trim moved the origin.
+//   - Fine searches: memoized by plateau position once the whole search
+//     span was inside the window.
+//
+// Scan work is O(new samples), plus the decision loop's one compare per
+// window position and the fine searches of newly seen plateaus.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +35,8 @@ class IncrementalScDetector {
 
   /// Scan the window `x[0 .. len)` whose first sample sits at absolute
   /// stream index `base`. Returns exactly what
-  /// SchmidlCoxDetector::detect would return for the same window —
-  /// detection starts relative to the window, every field bit-identical.
+  /// SchmidlCoxDetector::detect(window, base) returns — detection starts
+  /// relative to the window, every field bit-identical.
   /// Successive calls must present consistent data: a sample at absolute
   /// index i must carry the same value in every window that contains it
   /// (append-only stream, trims only move `base` forward).
@@ -52,32 +53,29 @@ class IncrementalScDetector {
   std::size_t fine_searches_run() const { return fine_searches_; }
   std::size_t fine_cache_hits() const { return fine_cache_hits_; }
   std::size_t fine_cache_size() const { return fine_cache_.size(); }
+  /// Coarse positions computed so far: new positions plus recomputed
+  /// heads — about one per appended sample in steady state.
+  std::size_t coarse_positions_computed() const { return coarse_positions_; }
 
  private:
-  /// Memoized result of one LTF fine-timing search at plateau position
-  /// `base + k` (the map key): the normalized correlation peak and the
-  /// chosen first-LTF-period position (after the second-period
-  /// disambiguation), both pure functions of the samples in
-  /// [k, k + fine_search_span). Recorded only when that span was fully
-  /// inside the buffer, so the values are final.
-  struct FineResult {
-    double best_val = 0.0;
-    std::size_t period1_abs = 0;
-  };
-
   DetectorConfig config_;
-  CVec ltf_ref_;
-  double ltf_energy_ = 0.0;
+  LtfFineSearch fine_;
 
-  // Per-scan scratch, reused across calls to avoid reallocation.
-  CVec p_;
+  // Coarse terms by absolute position j, at slot j & (size - 1); the
+  // positions [origin_, origin_ + computed_) are up to date.
+  std::vector<cd> p_;
   std::vector<double> r_;
-  std::vector<double> metric_;
-  std::vector<double> corr_;
+  std::vector<double> m_;
+  std::size_t origin_ = 0;
+  std::size_t computed_ = 0;
 
-  std::unordered_map<std::size_t, FineResult> fine_cache_;
+  /// Memoized fine searches, keyed by the absolute plateau position,
+  /// positions absolute. Recorded only when the whole search span
+  /// [k, k + fine_search_span) was inside the window, so they are final.
+  std::unordered_map<std::size_t, LtfPeak> fine_cache_;
   std::size_t fine_searches_ = 0;
   std::size_t fine_cache_hits_ = 0;
+  std::size_t coarse_positions_ = 0;
 };
 
 }  // namespace sa

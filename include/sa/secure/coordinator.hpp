@@ -18,8 +18,6 @@
 
 namespace sa {
 
-class CaptureWriter;
-
 struct CoordinatorConfig {
   /// Fence boundary; nullopt disables the fence check (FencePolicy is
   /// skipped even if named in `policies`).
@@ -118,20 +116,11 @@ class Coordinator {
   bool wants_spoof() const { return wants_spoof_; }
   const SpoofDetector& spoof_detector() const { return spoof_; }
 
-  /// Attach a recording tap (borrowed; may be nullptr to detach): every
-  /// decision process() makes is recorded with the serial chain's own
-  /// frame index as the sequence number and the best observation's
-  /// detection start as the absolute start. Engine-internal per-worker
-  /// coordinators never have a tap — the session's sequencer records the
-  /// re-sequenced stream instead.
-  void set_capture(CaptureWriter* capture) { capture_ = capture; }
-
  private:
   CoordinatorConfig config_;
   PolicyChain chain_;
   bool wants_spoof_ = false;
   SpoofDetector spoof_;
-  CaptureWriter* capture_ = nullptr;
 };
 
 }  // namespace sa

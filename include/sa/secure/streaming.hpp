@@ -5,16 +5,17 @@
 // a packet split across chunks is still detected and decoded exactly
 // once.
 //
-// The scan hot path is incremental: history lives in a ColumnRing (O(1)
-// append/trim, no full-matrix copies), each sample is conditioned
-// exactly once when appended (AccessPoint::condition_cols), and
-// detection runs through IncrementalScDetector, which memoizes the LTF
-// fine-timing searches by absolute position. Steady-state scan work is
-// O(chunk) heavy math plus an O(history) light replay of the coarse
-// Schmidl-Cox recurrences (origin-dependent floats; see
-// incremental_detector.hpp) and the snapshot copy — and the emitted
-// packet stream is bit-identical to the pre-incremental receiver for
-// every chunk schedule.
+// The scan hot path costs O(new samples): history lives in a ColumnRing
+// (O(1) append/trim, no full-matrix copies), each sample is conditioned
+// exactly once when appended (AccessPoint::condition_cols), detection
+// runs through IncrementalScDetector, which computes each anchored
+// coarse Schmidl-Cox term once and memoizes the LTF fine searches by
+// absolute position, and the snapshot handed to the workers holds only
+// the columns the candidates read. For every chunk schedule the emitted
+// packet stream matches the pre-incremental receiver (grow-copy,
+// whole-window conditioning, SchmidlCoxDetector::detect(window, base)):
+// the same packets at the same absolute starts, bit for bit, except that
+// `detection.start` is relative to the snapshot instead of the window.
 #pragma once
 
 #include <memory>
@@ -84,16 +85,19 @@ class StreamingReceiver {
     std::size_t absolute_start = 0;
     PacketDetection detection;
   };
-  /// The conditioned buffer plus the candidates found in it. `conditioned`
-  /// is shared so workers can process candidates concurrently; it is null
-  /// when too few samples are buffered to scan — and, since the
-  /// incremental hot path, also when the scan found no candidates:
-  /// every consumer reads it per candidate, so an idle scan skips the
-  /// O(history) snapshot copy entirely.
+  /// The candidates plus the conditioned columns they read. `conditioned`
+  /// is shared so workers can process candidates concurrently. It holds
+  /// window columns from the first candidate's start to the window end:
+  /// AccessPoint::prepare reads only columns at/after a detection's
+  /// start, and candidates come in time order. It is null when the scan
+  /// found no candidates (too few samples buffered, or nothing new), so
+  /// an idle scan copies nothing.
   struct Scan {
     std::shared_ptr<const CMat> conditioned;
+    /// Each candidate's `detection.start` indexes into `conditioned`.
     std::vector<Candidate> candidates;
-    /// Absolute stream index of `conditioned` column 0 at scan time.
+    /// Absolute stream index of `conditioned` column 0 at scan time — the
+    /// first candidate's absolute start; `seen` when there is none.
     std::size_t base = 0;
     /// Absolute samples consumed at scan time (== base + conditioned
     /// columns); commit's retry-deadline arithmetic anchors here.
@@ -143,8 +147,8 @@ class StreamingReceiver {
   /// Conditioned history window. Samples are conditioned exactly once,
   /// when their chunk is appended (AccessPoint::condition_cols); scan
   /// materializes the Scan::conditioned snapshot from here with a plain
-  /// copy — the steady-state scan never re-runs conditioning math or
-  /// re-copies the history to append/trim.
+  /// copy of the candidates' columns — the steady-state scan never
+  /// re-runs conditioning math or re-copies the history to append/trim.
   ColumnRing cond_;
   IncrementalScDetector detector_;
   /// Snapshot recycling: scan hands out shared_ptr<const CMat> snapshots;

@@ -55,10 +55,13 @@ void ColumnRing::clear() {
   size_ = 0;
 }
 
-void ColumnRing::materialize(CMat& out) const {
-  out.resize(rows_, size_);
+void ColumnRing::materialize(CMat& out, std::size_t first_col) const {
+  SA_EXPECTS(first_col <= size_);
+  const std::size_t n = size_ - first_col;
+  out.resize(rows_, n);
   for (std::size_t r = 0; r < rows_; ++r) {
-    std::copy_n(data_.data() + r * cap_ + off_, size_, out.raw() + r * size_);
+    std::copy_n(data_.data() + r * cap_ + off_ + first_col, n,
+                out.raw() + r * n);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sa/capture/writer.hpp"
 #include "sa/common/error.hpp"
 
 namespace sa {
@@ -76,13 +75,8 @@ FrameDecision Coordinator::process(
     so = spoof_.observe(best.packet.frame->addr2, best.packet.subband);
   }
   // A serial chain's processed count *is* the global frame index.
-  const std::size_t sequence = chain_.frames();
-  FrameContext ctx(observations, best, sequence, so);
-  FrameDecision decision = chain_.run(ctx);
-  if (capture_ != nullptr && !capture_->closed()) {
-    capture_->record_decision(sequence, best.packet.detection.start, decision);
-  }
-  return decision;
+  FrameContext ctx(observations, best, chain_.frames(), so);
+  return chain_.run(ctx);
 }
 
 FrameDecision Coordinator::process_prejudged(

@@ -29,14 +29,14 @@ StreamingReceiver::Scan StreamingReceiver::scan(const CMat* chunk) {
   }
 
   Scan out;
-  out.base = base_;
   out.seen = base_ + buffered_cols_;
+  out.base = out.seen;  // no snapshot: it would start at the window end
   out.prev_seen = prev_seen;
   if (buffered_cols_ < kPreambleLen + kSymbolLen) return out;
 
   // Incremental detection over the conditioned reference row: identical
-  // output to running the full detector over the window, with the
-  // fine-timing searches memoized across scans.
+  // output to running the full detector over the window at its absolute
+  // origin, with the coarse terms and fine searches cached across scans.
   for (const auto& det : detector_.scan(cond_.row(0), buffered_cols_, base_)) {
     const std::size_t abs_start = base_ + det.start;
     if (abs_start < emit_watermark_) continue;  // already emitted
@@ -44,9 +44,14 @@ StreamingReceiver::Scan StreamingReceiver::scan(const CMat* chunk) {
   }
   if (out.candidates.empty()) return out;  // nothing would read a snapshot
 
-  // Snapshot the conditioned window for the demodulate workers — a plain
-  // per-row copy, no conditioning math, into a recycled allocation when
-  // a previous scan's snapshot has been released by every consumer.
+  // Snapshot the columns the demodulate workers read — from the first
+  // candidate's start (candidates are in time order) to the window end —
+  // as a plain per-row copy, no conditioning math, into a recycled
+  // allocation when a previous scan's snapshot has been released by
+  // every consumer. Detection starts are rebased onto the snapshot.
+  const std::size_t first_col = out.candidates.front().detection.start;
+  out.base = base_ + first_col;
+  for (auto& cand : out.candidates) cand.detection.start -= first_col;
   std::shared_ptr<CMat> snapshot;
   for (auto& pooled : snapshot_pool_) {
     if (pooled.use_count() == 1) {
@@ -63,7 +68,7 @@ StreamingReceiver::Scan StreamingReceiver::scan(const CMat* chunk) {
     snapshot = std::make_shared<CMat>();
     if (snapshot_pool_.size() < 8) snapshot_pool_.push_back(snapshot);
   }
-  cond_.materialize(*snapshot);
+  cond_.materialize(*snapshot, first_col);
   out.conditioned = snapshot;
   return out;
 }

@@ -1,4 +1,4 @@
-// Unit tests for sa_dsp: FFT, noise/SNR, correlation, FIR filters.
+// Unit tests for sa_dsp: FFT, noise/SNR, FIR filters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 #include "sa/common/constants.hpp"
 #include "sa/common/error.hpp"
 #include "sa/common/rng.hpp"
-#include "sa/dsp/correlate.hpp"
 #include "sa/dsp/fft.hpp"
 #include "sa/dsp/fir.hpp"
 #include "sa/dsp/noise.hpp"
@@ -199,89 +198,6 @@ TEST(Units, DbConversions) {
   EXPECT_NEAR(amplitude_db(10.0), 20.0, 1e-12);
   EXPECT_EQ(to_db(0.0), -300.0);
   EXPECT_NEAR(to_db(from_db(-17.3)), -17.3, 1e-12);
-}
-
-// ------------------------------------------------------------- correlate
-
-TEST(Correlate, SlidingCorrelationFindsPattern) {
-  Rng rng(20);
-  CVec ref(16);
-  for (auto& v : ref) v = cd{rng.normal(), rng.normal()};
-  CVec x(100, cd{0.0, 0.0});
-  // Embed ref at offset 37.
-  for (std::size_t i = 0; i < ref.size(); ++i) x[37 + i] = ref[i];
-  const CVec corr = sliding_correlation(x, ref);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < corr.size(); ++i) {
-    if (std::abs(corr[i]) > std::abs(corr[best])) best = i;
-  }
-  EXPECT_EQ(best, 37u);
-}
-
-TEST(Correlate, LagAutocorrelationDetectsRepetition) {
-  Rng rng(21);
-  const std::size_t half = 32;
-  CVec pattern(half);
-  for (auto& v : pattern) v = cd{rng.normal(), rng.normal()};
-  // Signal = noise, then [pattern pattern], then noise.
-  CVec x = awgn(64, 1.0, rng);
-  x.insert(x.end(), pattern.begin(), pattern.end());
-  x.insert(x.end(), pattern.begin(), pattern.end());
-  const CVec tail = awgn(64, 1.0, rng);
-  x.insert(x.end(), tail.begin(), tail.end());
-
-  const CVec p = lag_autocorrelation(x, half, half);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < p.size(); ++i) {
-    if (std::abs(p[i]) > std::abs(p[best])) best = i;
-  }
-  EXPECT_EQ(best, 64u);  // start of the repeated block
-  // At the peak, the normalized metric should be ~1.
-  const auto r = window_energy(x, half, half);
-  const double m = std::norm(p[best]) / (r[best] * r[best]);
-  EXPECT_GT(m, 0.8);
-}
-
-TEST(Correlate, RunningUpdateMatchesDirect) {
-  Rng rng(22);
-  CVec x(300);
-  for (auto& v : x) v = cd{rng.normal(), rng.normal()};
-  const std::size_t lag = 16, window = 16;
-  const CVec fast = lag_autocorrelation(x, lag, window);
-  for (std::size_t k = 0; k < fast.size(); k += 37) {
-    cd direct{0.0, 0.0};
-    for (std::size_t i = 0; i < window; ++i) {
-      direct += std::conj(x[k + i]) * x[k + i + lag];
-    }
-    EXPECT_NEAR(std::abs(fast[k] - direct), 0.0, 1e-9);
-  }
-}
-
-TEST(Correlate, WindowEnergyMatchesDirect) {
-  Rng rng(23);
-  CVec x(200);
-  for (auto& v : x) v = cd{rng.normal(), rng.normal()};
-  const auto e = window_energy(x, 8, 32);
-  for (std::size_t k = 0; k < e.size(); k += 13) {
-    double direct = 0.0;
-    for (std::size_t i = 0; i < 32; ++i) direct += std::norm(x[8 + k + i]);
-    EXPECT_NEAR(e[k], direct, 1e-9);
-  }
-}
-
-TEST(Correlate, CoefficientBounds) {
-  Rng rng(24);
-  CVec a(64), b(64);
-  for (auto& v : a) v = cd{rng.normal(), rng.normal()};
-  for (auto& v : b) v = cd{rng.normal(), rng.normal()};
-  const double c = correlation_coefficient(a, b);
-  EXPECT_GE(c, 0.0);
-  EXPECT_LE(c, 1.0);
-  EXPECT_NEAR(correlation_coefficient(a, a), 1.0, 1e-12);
-  // Scaling and global phase do not change the coefficient.
-  CVec a2 = a;
-  scale(a2, cd{0.0, 3.0});
-  EXPECT_NEAR(correlation_coefficient(a, a2), 1.0, 1e-12);
 }
 
 // ------------------------------------------------------------------- fir

@@ -1,16 +1,19 @@
 // Bit-identity of the per-frame kernels that run from precomputed
 // tables — the steering manifold behind the MUSIC/Capon/Bartlett scans,
 // the FFT plans, the one-pass subband split, the flat-plane Viterbi
-// decoder and the peak search — against straightforward references
-// kept here: per-grid-point steering_vector + quadratic_form, the
-// inline twiddle recurrence, per-window fft_inplace, the per-step
-// vector Viterbi and the modulo-wrapped peak walk. Every comparison is
-// exact (EXPECT_EQ on doubles): the tables may only save work, never
-// change a bit of output.
+// decoder and the peak search — and of the Schmidl-Cox detection
+// kernels, against straightforward references kept here:
+// per-grid-point steering_vector + quadratic_form, the inline twiddle
+// recurrence, per-window fft_inplace, the per-step vector Viterbi, the
+// modulo-wrapped peak walk, the per-position LTF search and the
+// forward P/R chain. Every comparison is exact (EXPECT_EQ on doubles):
+// the tables and loop orders may only save work, never change a bit of
+// output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -26,6 +29,7 @@
 #include "sa/dsp/units.hpp"
 #include "sa/linalg/lu.hpp"
 #include "sa/phy/convolutional.hpp"
+#include "sa/phy/detector.hpp"
 #include "sa/phy/ofdm.hpp"
 #include "sa/secure/accesspoint.hpp"
 
@@ -617,6 +621,216 @@ TEST(PeakSearch, ConditionalWrapMatchesModuloWalk) {
     EXPECT_EQ(spec.refined_max_angle_deg(), reference_refined_max(spec));
   }
   EXPECT_GT(peaks_seen, 100u);
+}
+
+// --------------------------------------------------------- Schmidl-Cox
+
+/// The per-position LTF search the detector ran before the transposed
+/// kernel: one complex accumulation chain per candidate position.
+LtfPeak reference_fine_search(const CVec& x, std::size_t begin,
+                              std::size_t end, const CVec& ltf,
+                              std::vector<double>& corr) {
+  const double ltf_energy = energy(ltf);
+  LtfPeak out;
+  out.best_pos = begin;
+  corr.assign(end - begin - kFftSize + 1, 0.0);
+  for (std::size_t pos = begin; pos + kFftSize <= end; ++pos) {
+    cd acc{0.0, 0.0};
+    for (std::size_t i = 0; i < kFftSize; ++i) {
+      acc += std::conj(ltf[i]) * x[pos + i];
+    }
+    double win_e = 0.0;
+    for (std::size_t i = 0; i < kFftSize; ++i) win_e += std::norm(x[pos + i]);
+    const double c =
+        (win_e > 1e-30) ? std::norm(acc) / (ltf_energy * win_e) : 0.0;
+    corr[pos - begin] = c;
+    if (c > out.best_val) {
+      out.best_val = c;
+      out.best_pos = pos;
+    }
+  }
+  out.period1 = out.best_pos;
+  if (out.best_pos >= begin + kFftSize) {
+    const double prev = corr[out.best_pos - begin - kFftSize];
+    if (prev > 0.8 * out.best_val) out.period1 = out.best_pos - kFftSize;
+  }
+  return out;
+}
+
+/// Noise with two-period LTFs embedded at `at`; `first_noise` adds extra
+/// noise to the first period only, so the second one correlates best.
+CVec ltf_stream(std::size_t n, const std::vector<std::size_t>& at,
+                double first_noise, Rng& rng) {
+  CVec x(n);
+  for (cd& v : x) v = rng.complex_normal(0.05);
+  const CVec ltf = ltf_period();
+  for (std::size_t p : at) {
+    for (std::size_t i = 0; i < 2 * kFftSize && p + i < n; ++i) {
+      x[p + i] += ltf[i % kFftSize];
+      if (i < kFftSize) x[p + i] += rng.complex_normal(first_noise);
+    }
+  }
+  return x;
+}
+
+TEST(LtfFineSearch, TransposedBitIdenticalToPerPositionLoop) {
+  Rng rng(61);
+  const CVec ltf = ltf_period();
+  LtfFineSearch search(ltf);  // one instance: scratch reused, dirty
+  std::vector<double> want_corr;
+  std::size_t cases = 0, second_period_cases = 0;
+  auto check = [&](const CVec& x, std::size_t begin, std::size_t end) {
+    SCOPED_TRACE(testing::Message() << "span [" << begin << ", " << end
+                                    << ") of " << x.size());
+    const LtfPeak want = reference_fine_search(x, begin, end, ltf, want_corr);
+    const LtfPeak got = search.run(x.data(), begin, end);
+    EXPECT_EQ(search.corr(), want_corr);
+    EXPECT_EQ(got.best_val, want.best_val);
+    EXPECT_EQ(got.best_pos, want.best_pos);
+    EXPECT_EQ(got.period1, want.period1);
+    ++cases;
+    if (want.period1 != want.best_pos) ++second_period_cases;
+  };
+
+  // Random spans over noise with embedded LTFs, full and short spans.
+  const CVec x = ltf_stream(3000, {300, 1100, 2000}, 0.3, rng);
+  for (std::size_t begin : {0u, 17u, 250u, 301u, 1050u, 1990u, 2400u}) {
+    for (std::size_t span : {65u, 130u, 200u, 480u}) {
+      check(x, begin, begin + span);
+    }
+  }
+  // Spans clipped at the window end.
+  for (std::size_t begin : {2600u, 2800u, 2900u, 2935u}) {
+    check(x, begin, std::min<std::size_t>(x.size(), begin + 480));
+  }
+  // Exact ties: a perfectly 64-periodic signal correlates identically at
+  // pos and pos + 64, so the first maximum must win.
+  CVec periodic(600);
+  for (std::size_t t = 0; t < periodic.size(); ++t) {
+    periodic[t] = ltf[t % kFftSize];
+  }
+  for (std::size_t begin : {0u, 5u, 64u, 100u}) check(periodic, begin, begin + 480);
+  // Zero-energy windows: every position correlates 0, the peak stays at
+  // `begin`.
+  const CVec zeros(700, cd{0.0, 0.0});
+  check(zeros, 0, 480);
+  check(zeros, 123, 700);
+  // Zero energy in part of the span only.
+  CVec half = ltf_stream(900, {600}, 0.0, rng);
+  for (std::size_t t = 0; t < 400; ++t) half[t] = cd{0.0, 0.0};
+  check(half, 200, 680);
+  // Second-period disambiguation: the first period is noisier, so the
+  // peak lands on the second one and the first is chosen from corr.
+  const CVec second = ltf_stream(1200, {400}, 0.1, rng);
+  check(second, 380, 860);
+
+  EXPECT_EQ(cases, 40u);
+  EXPECT_GT(second_period_cases, 0u);
+}
+
+/// The forward coarse chain the detector used before the anchors: direct
+/// sums at window position 0, then the running update across the window.
+void reference_coarse_chain(const cd* x, std::size_t n_out,
+                            std::vector<cd>& p, std::vector<double>& r) {
+  p.assign(n_out, cd{0.0, 0.0});
+  r.assign(n_out, 0.0);
+  cd pk{0.0, 0.0};
+  for (std::size_t i = 0; i < kScWindow; ++i) {
+    pk += std::conj(x[i]) * x[i + kScLag];
+  }
+  p[0] = pk;
+  for (std::size_t k = 1; k < n_out; ++k) {
+    pk -= std::conj(x[k - 1]) * x[k - 1 + kScLag];
+    pk += std::conj(x[k + kScWindow - 1]) * x[k + kScWindow - 1 + kScLag];
+    p[k] = pk;
+  }
+  double e = 0.0;
+  for (std::size_t i = 0; i < kScWindow; ++i) e += std::norm(x[kScLag + i]);
+  r[0] = e;
+  for (std::size_t k = 1; k < n_out; ++k) {
+    e -= std::norm(x[kScLag + k - 1]);
+    e += std::norm(x[kScLag + k + kScWindow - 1]);
+    r[k] = e;
+  }
+}
+
+/// Anchored coarse terms of the window x[origin, x.size()), stored at
+/// their absolute index (the ring is as large as the stream).
+struct CoarseTerms {
+  std::vector<cd> p;
+  std::vector<double> r, m;
+};
+CoarseTerms anchored_terms(const CVec& x, std::size_t origin,
+                           std::size_t split = 0) {
+  const std::size_t end = x.size() - kScLag - kScWindow + 1;
+  const std::size_t mask = std::bit_ceil(x.size()) - 1;
+  CoarseTerms t{std::vector<cd>(mask + 1), std::vector<double>(mask + 1),
+                std::vector<double>(mask + 1)};
+  // `split` computes the window in two calls, the second continuing from
+  // the first's last position — as the streaming cache does.
+  const std::size_t mid = split == 0 ? end : origin + split;
+  schmidl_cox_coarse(x.data() + origin, origin, origin, mid, mask, t.p.data(),
+                     t.r.data(), t.m.data());
+  schmidl_cox_coarse(x.data() + origin, origin, mid, end, mask, t.p.data(),
+                     t.r.data(), t.m.data());
+  return t;
+}
+
+TEST(SchmidlCoxCoarse, AnchoredTermsIndependentOfOrigin) {
+  // Past the window's first anchor every term depends only on its
+  // absolute position: windows with different origins agree exactly.
+  Rng rng(62);
+  const CVec x = ltf_stream(2100, {500, 1300}, 0.1, rng);
+  const std::size_t end = x.size() - kScLag - kScWindow + 1;
+  const CoarseTerms ref = anchored_terms(x, 0);
+  std::size_t compared = 0;
+  for (std::size_t origin : {1u, 37u, 255u, 256u, 300u, 700u, 1025u}) {
+    SCOPED_TRACE(testing::Message() << "origin " << origin);
+    const std::size_t first_anchor = (origin + kScAnchor - 1) / kScAnchor *
+                                     kScAnchor;
+    for (std::size_t split : {0u, 1u, 100u, 333u}) {
+      const CoarseTerms t = anchored_terms(x, origin, split);
+      for (std::size_t j = first_anchor; j < end; ++j) {
+        ASSERT_EQ(t.p[j], ref.p[j]) << "position " << j;
+        ASSERT_EQ(t.r[j], ref.r[j]) << "position " << j;
+        ASSERT_EQ(t.m[j], ref.m[j]) << "position " << j;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 20000u);
+}
+
+TEST(SchmidlCoxCoarse, EveryPositionIsTheForwardChainFromItsAnchor) {
+  // The head [origin, first anchor) chains from the origin; every later
+  // position chains from the multiple of kScAnchor at or below it. Each
+  // equals the pre-anchor forward chain started there, and M is
+  // |P|^2 / R^2.
+  Rng rng(63);
+  const CVec x = ltf_stream(1800, {400}, 0.1, rng);
+  const std::size_t end = x.size() - kScLag - kScWindow + 1;
+  std::vector<cd> chain_p;
+  std::vector<double> chain_r;
+  for (std::size_t origin : {0u, 3u, 200u, 256u, 511u}) {
+    SCOPED_TRACE(testing::Message() << "origin " << origin);
+    const CoarseTerms t = anchored_terms(x, origin);
+    std::size_t anchor = origin;
+    while (anchor < end) {
+      const std::size_t seg_end =
+          std::min(end, anchor - anchor % kScAnchor + kScAnchor);
+      reference_coarse_chain(x.data() + anchor, seg_end - anchor, chain_p,
+                             chain_r);
+      for (std::size_t j = anchor; j < seg_end; ++j) {
+        ASSERT_EQ(t.p[j], chain_p[j - anchor]) << "position " << j;
+        ASSERT_EQ(t.r[j], chain_r[j - anchor]) << "position " << j;
+        const double r = chain_r[j - anchor];
+        const double m = r > 1e-30 ? std::norm(chain_p[j - anchor]) / (r * r)
+                                   : 0.0;
+        ASSERT_EQ(t.m[j], m) << "position " << j;
+      }
+      anchor = seg_end;
+    }
+  }
 }
 
 }  // namespace

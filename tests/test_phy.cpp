@@ -596,17 +596,18 @@ TEST(IncrementalDetector, BitIdenticalToFullDetectorAcrossWindows) {
   // Drive the incremental detector through the streaming receiver's
   // window schedule — append a chunk, scan, trim to the history bound —
   // and hold every scan against SchmidlCoxDetector::detect run fresh
-  // over the identical window. Every field of every detection must be
-  // bit-identical (EXPECT_EQ on doubles), across chunk sizes including
-  // 1-sample, prime, and larger-than-history chunks.
+  // over the identical window at the same absolute origin. Every field
+  // of every detection must be bit-identical (EXPECT_EQ on doubles),
+  // across chunk sizes including 1-sample, prime, and
+  // larger-than-history chunks.
   const std::size_t history = 2500;
   for (std::uint64_t seed : {21u, 22u}) {
     for (std::size_t chunk : {1u, 97u, 800u, 4096u}) {
       SCOPED_TRACE(testing::Message() << "seed " << seed << " chunk " << chunk);
       Rng rng(seed);
       const CVec stream = build_mixed_stream(rng);
-      // 1-sample chunks replay the whole coarse recurrence per scan;
-      // keep that case affordable with a shorter stream.
+      // 1-sample chunks run a fresh full detection per sample; keep that
+      // case affordable with a shorter stream.
       const std::size_t total =
           chunk == 1 ? std::min<std::size_t>(stream.size(), 1600)
                      : stream.size();
@@ -621,7 +622,7 @@ TEST(IncrementalDetector, BitIdenticalToFullDetectorAcrossWindows) {
         const CVec window(stream.begin() + static_cast<std::ptrdiff_t>(base),
                           stream.begin() +
                               static_cast<std::ptrdiff_t>(base + len));
-        const auto want = full.detect(window);
+        const auto want = full.detect(window, base);
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < want.size(); ++i) {
           SCOPED_TRACE(i);
@@ -643,6 +644,54 @@ TEST(IncrementalDetector, BitIdenticalToFullDetectorAcrossWindows) {
       }
     }
   }
+}
+
+TEST(IncrementalDetector, ScanComputesOnlyNewCoarsePositions) {
+  // The office-dense receiver shape: history 6000, 1472-sample chunks.
+  // Each scan computes the coarse terms of the positions its chunk added
+  // plus, when the trim moved the origin, the at most kScAnchor - 1 head
+  // positions before the window's first anchor — never the whole window.
+  // Checked by count, not by timing.
+  const std::size_t history = 6000;
+  const std::size_t chunk = 1472;
+  Rng rng(23);
+  CVec stream;
+  for (int rep = 0; rep < 3; ++rep) {
+    const CVec part = build_mixed_stream(rng);
+    stream.insert(stream.end(), part.begin(), part.end());
+  }
+  const SchmidlCoxDetector full;
+  IncrementalScDetector inc(full.config());
+  std::size_t base = 0, len = 0, warm_scans = 0, head_scans = 0;
+  while (base + len + chunk <= stream.size()) {
+    len += chunk;
+    const std::size_t before = inc.coarse_positions_computed();
+    const auto got = inc.scan(stream.data() + base, len, base);
+    const std::size_t computed = inc.coarse_positions_computed() - before;
+    if (base > 0) {  // warmed up: the window has been trimmed
+      SCOPED_TRACE(testing::Message() << "origin " << base);
+      ++warm_scans;
+      EXPECT_GE(computed, chunk);
+      EXPECT_LE(computed, chunk + kScAnchor - 1);
+      if (computed > chunk) ++head_scans;
+    }
+    const CVec window(stream.begin() + static_cast<std::ptrdiff_t>(base),
+                      stream.begin() + static_cast<std::ptrdiff_t>(base + len));
+    const auto want = full.detect(window, base);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].start, want[i].start);
+      EXPECT_EQ(got[i].metric, want[i].metric);
+      EXPECT_EQ(got[i].cfo_hz, want[i].cfo_hz);
+      EXPECT_EQ(got[i].fine_peak, want[i].fine_peak);
+    }
+    if (len > history) {
+      base += len - history;
+      len = history;
+    }
+  }
+  EXPECT_GE(warm_scans, 10u);
+  EXPECT_GT(head_scans, 0u);  // the head recompute was exercised
 }
 
 TEST(IncrementalDetector, EmptyAndShortWindows) {

@@ -310,9 +310,10 @@ TEST(Streaming, CommitBehindScheduleEmitsIdenticalStream) {
 
 /// Bit-exact replica of the pre-incremental receiver: grow-copy the raw
 /// buffer on append, re-run AccessPoint::condition over the whole
-/// history every scan, full detection, full-copy trim. This is the
-/// oracle the ring-buffer / incremental scan path must match byte for
-/// byte on every chunk schedule.
+/// history every scan, full detection at the window's absolute origin,
+/// full-copy snapshot and trim. This is the oracle the ring-buffer /
+/// incremental scan path must match byte for byte on every chunk
+/// schedule.
 class LegacyReceiver {
  public:
   LegacyReceiver(AccessPoint& ap, StreamingConfig config)
@@ -341,7 +342,8 @@ class LegacyReceiver {
     out.prev_seen = prev_seen;
     if (buffered_cols_ < kPreambleLen + kSymbolLen) return out;
     out.conditioned = std::make_shared<const CMat>(ap_.condition(buffer_));
-    for (const auto& det : ap_.detect(*out.conditioned)) {
+    for (const auto& det :
+         ap_.detector().detect(out.conditioned->row(0), base_)) {
       const std::size_t abs_start = base_ + det.start;
       if (abs_start < emit_watermark_) continue;
       out.candidates.push_back({abs_start, det});
@@ -422,11 +424,13 @@ void expect_packets_bit_identical(
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     SCOPED_TRACE(i);
+    // Packets are placed by absolute start: the incremental receiver's
+    // detection.start indexes its candidates-only snapshot, the legacy
+    // one's the whole window.
     EXPECT_EQ(got[i].absolute_start, want[i].absolute_start);
     const ReceivedPacket& g = got[i].packet;
     const ReceivedPacket& w = want[i].packet;
     // Detection fields bit-exact (EXPECT_EQ on doubles).
-    EXPECT_EQ(g.detection.start, w.detection.start);
     EXPECT_EQ(g.detection.metric, w.detection.metric);
     EXPECT_EQ(g.detection.cfo_hz, w.detection.cfo_hz);
     EXPECT_EQ(g.detection.fine_peak, w.detection.fine_peak);
@@ -532,7 +536,9 @@ TEST(Streaming, IncrementalBitIdenticalToLegacyCommitBehind) {
   // Commit-behind schedule (the pipelined session's interleave): all
   // scans run ahead, then the commits land behind them in order. Both
   // implementations walk the identical schedule and must agree bit for
-  // bit — scan coordinates, candidate lists, snapshots, emissions.
+  // bit — scan coordinates, candidate lists, snapshots, emissions. The
+  // incremental snapshot is the legacy one's columns from the first
+  // candidate on.
   StreamRig rig;
   StreamingConfig cfg;
   cfg.history_samples = 2500;
@@ -555,9 +561,12 @@ TEST(Streaming, IncrementalBitIdenticalToLegacyCommitBehind) {
 
   for (std::size_t s = 0; s < inc_scans.size(); ++s) {
     SCOPED_TRACE(s);
-    ASSERT_EQ(inc_scans[s].base, leg_scans[s].base);
     ASSERT_EQ(inc_scans[s].seen, leg_scans[s].seen);
     ASSERT_EQ(inc_scans[s].candidates.size(), leg_scans[s].candidates.size());
+    for (std::size_t i = 0; i < inc_scans[s].candidates.size(); ++i) {
+      ASSERT_EQ(inc_scans[s].candidates[i].absolute_start,
+                leg_scans[s].candidates[i].absolute_start);
+    }
     // Snapshots bit-identical whenever they exist. The incremental path
     // skips the snapshot for candidate-free scans (nothing reads it);
     // the legacy oracle always materialized one.
@@ -567,10 +576,14 @@ TEST(Streaming, IncrementalBitIdenticalToLegacyCommitBehind) {
     if (leg_scans[s].conditioned && inc_scans[s].conditioned) {
       const CMat& a = *inc_scans[s].conditioned;
       const CMat& b = *leg_scans[s].conditioned;
+      ASSERT_GE(inc_scans[s].base, leg_scans[s].base);
+      const std::size_t off = inc_scans[s].base - leg_scans[s].base;
       ASSERT_EQ(a.rows(), b.rows());
-      ASSERT_EQ(a.cols(), b.cols());
-      for (std::size_t i = 0; i < a.data().size(); ++i) {
-        ASSERT_EQ(a.data()[i], b.data()[i]);
+      ASSERT_EQ(off + a.cols(), b.cols());
+      for (std::size_t m = 0; m < a.rows(); ++m) {
+        for (std::size_t t = 0; t < a.cols(); ++t) {
+          ASSERT_EQ(a(m, t), b(m, off + t));
+        }
       }
     }
     auto run_commit = [&](auto& rx, const StreamingReceiver::Scan& scan) {
@@ -710,7 +723,10 @@ TEST(Streaming, ScanRecordsAbsoluteCoordinates) {
   StreamingReceiver rx(rig.ap);
   const CMat cap = rig.capture(300, 0);
   auto s1 = rx.scan(&cap);
-  EXPECT_EQ(s1.base, 0u);
+  // The snapshot starts at the first candidate.
+  ASSERT_FALSE(s1.candidates.empty());
+  EXPECT_EQ(s1.base, s1.candidates.front().absolute_start);
+  EXPECT_EQ(s1.candidates.front().detection.start, 0u);
   EXPECT_EQ(s1.prev_seen, 0u);
   EXPECT_EQ(s1.seen, cap.cols());
   std::vector<std::optional<ReceivedPacket>> processed(s1.candidates.size());
@@ -721,8 +737,61 @@ TEST(Streaming, ScanRecordsAbsoluteCoordinates) {
   auto s2 = rx.scan(&cap);
   EXPECT_EQ(s2.prev_seen, cap.cols());
   EXPECT_EQ(s2.seen, 2 * cap.cols());
+  ASSERT_FALSE(s2.candidates.empty());
+  EXPECT_EQ(s2.base, s2.candidates.front().absolute_start);
   EXPECT_EQ(s2.base + (s2.conditioned ? s2.conditioned->cols() : 0),
             s2.seen);
+}
+
+TEST(Streaming, SnapshotHoldsOnlyCandidateColumns) {
+  // Every snapshot runs from the first candidate's start to the window
+  // end, each detection.start indexes into it, and a candidate-free
+  // scan copies nothing (base == seen).
+  StreamRig rig;
+  const CMat quiet = rig.capture(4000, 9);  // leads with packet-free chunks
+  const CMat packets = build_long_capture(rig, 4);
+  const std::size_t history = StreamingConfig{}.history_samples;
+  const std::size_t chunk_len = 1472;
+  StreamingReceiver rx(rig.ap);
+  std::size_t snapshots = 0, idle = 0, trimmed_head = 0;
+  auto run_chunk = [&](const CMat& chunk) {
+    auto scan = rx.scan(&chunk);
+    std::vector<std::optional<ReceivedPacket>> processed(
+        scan.candidates.size());
+    if (scan.candidates.empty()) {
+      ++idle;
+      EXPECT_TRUE(scan.conditioned == nullptr);
+      EXPECT_EQ(scan.base, scan.seen);
+    } else {
+      ++snapshots;
+      ASSERT_TRUE(scan.conditioned != nullptr);
+      EXPECT_EQ(scan.conditioned->cols(),
+                scan.seen - scan.candidates.front().absolute_start);
+      EXPECT_EQ(scan.base, scan.candidates.front().absolute_start);
+      for (const auto& cand : scan.candidates) {
+        EXPECT_EQ(cand.detection.start, cand.absolute_start - scan.base);
+      }
+      // The last commit trimmed the window to start history_samples
+      // before the previous round's end.
+      const std::size_t window_start =
+          scan.prev_seen - std::min(scan.prev_seen, history);
+      if (scan.base > window_start) ++trimmed_head;
+      for (std::size_t i = 0; i < scan.candidates.size(); ++i) {
+        processed[i] = rig.ap.demodulate(*scan.conditioned,
+                                         scan.candidates[i].detection);
+      }
+    }
+    rx.commit(scan, std::move(processed), false);
+  };
+  for (const CMat* src : {&quiet, &packets}) {
+    for (std::size_t at = 0; at < src->cols(); at += chunk_len) {
+      run_chunk(StreamRig::columns(*src, at,
+                                   std::min(at + chunk_len, src->cols())));
+    }
+  }
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_GT(idle, 0u);
+  EXPECT_GT(trimmed_head, 0u);  // some snapshot skipped leading columns
 }
 
 }  // namespace

@@ -94,27 +94,6 @@ namespace {
   print_usage(stderr, argv0, 2);
 }
 
-std::vector<PolicyKind> parse_policies(const std::string& list,
-                                       const char* argv0) {
-  std::vector<PolicyKind> kinds;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string name =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    const auto kind = policy_kind_from_string(name);
-    if (!kind) {
-      std::fprintf(stderr, "unknown policy '%s'\n", name.c_str());
-      usage(argv0);
-    }
-    kinds.push_back(*kind);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (kinds.empty()) usage(argv0);
-  return kinds;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,7 +179,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--fault-plan") {
       fault_plan_text = value();
     } else if (arg == "--policies") {
-      spec.policies = parse_policies(value(), argv[0]);
+      const char* list = value();
+      const auto parsed = policies_from_string(list);
+      if (!parsed) {
+        std::fprintf(stderr, "bad policy list '%s'\n", list);
+        usage(argv[0]);
+      }
+      spec.policies = *parsed;
     } else if (arg == "--help" || arg == "-h") {
       print_usage(stdout, argv[0], 0);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -235,6 +220,24 @@ int main(int argc, char** argv) {
   if (duration_s > 0.0 && report_interval <= 0.0) {
     std::fprintf(stderr, "--report-interval must be positive\n");
     usage(argv[0]);
+  }
+  // Record only what capture_tool replay accepts: the recorder applies
+  // replay's header bounds (sa/capture/format.hpp).
+  if (!capture_path.empty()) {
+    const bool replayable =
+        fleet_sites > 0
+            ? fleet_from_header(fleet_header_for(
+                                    FleetSpec{spec, fleet_sites, fleet_stride}))
+                  .has_value()
+            : deployment_from_header(capture_header_for(spec)).has_value();
+    if (!replayable) {
+      std::fprintf(stderr,
+                   "--capture: replay would refuse this deployment (it takes "
+                   "3-64 antennas, at most %zu sites and at most %zu APs x "
+                   "antennas x subbands)\n",
+                   kMaxFleetSites, kMaxAntennaBands);
+      usage(argv[0]);
+    }
   }
 
   // ---- Fleet mode: N sites under a FleetCoordinator running the

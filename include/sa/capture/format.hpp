@@ -47,7 +47,9 @@
 //             channel and re-checks every verdict.
 //
 // Version-1 consumers reject version-2+ files at the header, never
-// mid-stream.
+// mid-stream. A record type the header's version cannot hold (a
+// kSiteDecision in a version-1 file, a plain kDecision in a fleet file,
+// a kTransport below version 3) is malformed.
 //
 // The metadata map is free-form; sa/sim/deployment.hpp defines the keys
 // a replayable office-deployment capture carries (seed, aps, estimator,
@@ -137,6 +139,17 @@ inline constexpr std::size_t kMaxChunkRows = 256;
 inline constexpr std::size_t kMaxChunkCols = std::size_t{1} << 22;
 inline constexpr std::size_t kMaxMetaEntries = 256;
 inline constexpr std::size_t kMaxTraceEntries = 256;
+/// Bounds on what a header can make replay build. One AP's build cost
+/// grows with its antennas and subbands, so antennas x subbands summed
+/// over every AP of the deployment (or of the whole fleet) is capped; a
+/// 256-AP fleet of 4-antenna, 1-subband APs is exactly at the bound.
+/// Every fleet site is a session with its own dataplane threads, so the
+/// site count is capped too. A tracked-MAC bound ("sa.max_tracked")
+/// sizes each site's MAC prefilters up front (up to 3 bytes per entry,
+/// twice per site), so it is capped as well.
+inline constexpr std::size_t kMaxAntennaBands = 1024;
+inline constexpr std::size_t kMaxFleetSites = 64;
+inline constexpr std::size_t kMaxTrackedMacs = std::size_t{1} << 16;
 
 struct CaptureHeader {
   std::uint32_t version = kSacpVersion;
@@ -150,6 +163,10 @@ struct CaptureHeader {
   /// First value for `key`, if present.
   std::optional<std::string> meta(std::string_view key) const;
 };
+
+/// A decimal metadata value ("192"); nullopt unless the whole text is
+/// digits that fit in 64 bits.
+std::optional<std::uint64_t> parse_u64(std::string_view text);
 
 struct ChunkRecord {
   std::uint32_t ap = 0;

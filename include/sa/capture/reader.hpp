@@ -58,14 +58,10 @@ class CaptureReader {
   std::optional<CaptureRecord> next();
   /// Error text for the walk so far; empty while everything parsed.
   const std::string& error() const { return error_; }
-  void rewind();
 
   /// Full structural walk on a fresh cursor: header, every record,
   /// payload decodability, kEnd totals vs actual counts, clean EOF.
   ValidationReport validate() const;
-
-  /// All decision payloads in file order (= sequence order as emitted).
-  std::vector<ByteStream> decision_payloads() const;
 
   const ByteStream& bytes() const { return data_; }
 

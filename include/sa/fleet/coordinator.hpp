@@ -102,8 +102,9 @@ DeploymentSpec site_spec(const FleetSpec& spec, std::size_t index);
 /// "sa.fleet.sites" / "sa.fleet.seed_stride"; num_aps is fleet-global.
 CaptureHeader fleet_header_for(const FleetSpec& spec);
 
-/// Header -> fleet spec; nullopt when the fleet keys are missing or the
-/// per-site deployment does not round-trip.
+/// Header -> fleet spec; nullopt when the fleet keys are missing, the
+/// per-site deployment does not round-trip, or the fleet exceeds
+/// kMaxFleetSites or kMaxAntennaBands.
 std::optional<FleetSpec> fleet_from_header(const CaptureHeader& header);
 
 struct FleetConfig {

@@ -1,22 +1,26 @@
-// Fleet replay: turn a version-2/3 SACP fleet capture back into the run
-// it recorded and verify it byte-for-byte. The header's fleet keys
-// rebuild the FleetCoordinator (per-site deployments from the seed
-// progression, the recorded spoof-idle horizon, and — version 3 — the
+// Replay: turn a SACP capture back into the run it recorded and verify
+// it byte-for-byte. Every SACP version takes this one driver.
+//
+// The header rebuilds a FleetCoordinator. A version-1 capture is a
+// 1-site fleet (seed stride 0, spoof idle 0): one EngineSession over the
+// recorded deployment, exactly what recorded it. A version-2/3 capture
+// carries its fleet keys: per-site deployments from the seed
+// progression, the recorded spoof-idle horizon and — version 3 — the
 // recorded transport fault plan, so the replayed channel drops and
-// corrupts exactly where the original did); then every record is
-// re-issued in file order — chunks routed by fleet-global AP id, kAssoc
-// records re-driving notify_association (the replayed handoff
-// generation must match the recorded one, or the handoff state machine
-// has diverged), kTransport records re-checking each migration's
+// corrupts exactly where the original did. Every record is then
+// re-issued in file order: chunks routed by fleet-global AP id, kAssoc
+// records re-driving notify_association (the replayed handoff generation
+// must match the recorded one, or the handoff state machine has
+// diverged), kTransport records re-checking each migration's
 // delivered/cold-start verdict and attempt count, kDrain running
 // drain_all(). At the end each site's re-emitted decision track is
-// compared byte-identically against the recorded kSiteDecision
-// payloads.
+// compared byte-identically against the recorded one: kDecision payloads
+// for site 0 of a version-1 capture, kSiteDecision payloads otherwise.
 //
-// This is the fleet analogue of ReplaySource (sa/capture/replay.hpp),
-// folded into one call because fleet replay is always verification:
-// unlike single-site replay there is no "replay into caller's engine"
-// use — the capture fully describes the fleet.
+// Replay fails on what it cannot verify: a decision for a site outside
+// the fleet, a record type the header's version cannot hold, a kEnd
+// whose totals disagree with the records, or a header that asks for
+// more than kMaxAntennaBands, kMaxFleetSites or kMaxTrackedMacs.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +32,9 @@ namespace sa {
 
 struct FleetReplayResult {
   bool ok = false;
+  /// The engine refused a recorded chunk at submit (InvalidArgument: a
+  /// non-finite sample, a chunk of the wrong shape). `error` says why.
+  bool refused = false;
   std::string error;  ///< empty when ok
   std::size_t sites = 0;
   std::uint64_t chunks_submitted = 0;
@@ -39,7 +46,7 @@ struct FleetReplayResult {
   std::uint64_t transports_checked = 0;
 };
 
-/// Replay the fleet capture at `path` with `threads_per_site` dataplane
+/// Replay the capture at `path` with `threads_per_site` dataplane
 /// workers per site and byte-compare every site's decision track.
 /// Deterministic at any thread count; a mismatch (or a malformed
 /// capture) is reported in `error`, never UB.

@@ -36,14 +36,24 @@ struct DeploymentSpec {
   std::size_t subbands = 1;
   BandFusion band_fusion = BandFusion::kUniform;
   std::vector<PolicyKind> policies = default_policy_chain();
+  /// Tracked-MAC bound for the spoof and rate policies; 0 keeps the
+  /// engine defaults. Recorded as "sa.max_tracked" only when set (the
+  /// fuzz loop writes it to drive captures through the eviction paths).
+  std::size_t max_tracked_macs = 0;
 };
+
+/// "acl,spoof,fence" -> policy chain; nullopt on an empty list or an
+/// unknown name.
+std::optional<std::vector<PolicyKind>> policies_from_string(
+    const std::string& list);
 
 /// Spec -> capture header (num_aps/seed as header fields, the rest as
 /// metadata under "sa.*" keys).
 CaptureHeader capture_header_for(const DeploymentSpec& spec);
 
 /// Header -> spec; nullopt when a required "sa.*" key is missing or
-/// unparsable (a capture from some other producer).
+/// unparsable (a capture from some other producer), or when the
+/// deployment exceeds kMaxAntennaBands or kMaxTrackedMacs.
 std::optional<DeploymentSpec> deployment_from_header(
     const CaptureHeader& header);
 

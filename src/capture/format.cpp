@@ -1,5 +1,6 @@
 #include "sa/capture/format.hpp"
 
+#include <charconv>
 #include <cstring>
 
 #include "sa/common/error.hpp"
@@ -89,6 +90,15 @@ std::optional<std::string> CaptureHeader::meta(std::string_view key) const {
     if (k == key) return v;
   }
   return std::nullopt;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [at, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || at != end) return std::nullopt;
+  return v;
 }
 
 ByteStream encode_header(const CaptureHeader& header) {

@@ -6,6 +6,23 @@
 
 namespace sa {
 
+namespace {
+
+/// Whether a capture of `version` can hold a record of `type`: plain
+/// decisions are single-site only, site decisions and assocs need a
+/// fleet capture, transport verdicts a lossy one.
+bool version_holds(std::uint32_t version, RecordType type) {
+  switch (type) {
+    case RecordType::kDecision: return version < kSacpVersionFleet;
+    case RecordType::kSiteDecision:
+    case RecordType::kAssoc: return version >= kSacpVersionFleet;
+    case RecordType::kTransport: return version >= kSacpVersionChaos;
+    default: return true;
+  }
+}
+
+}  // namespace
+
 CaptureReader::CaptureReader(ByteStream data) : data_(std::move(data)) {
   ByteReader r(data_);
   header_ = decode_header(r);
@@ -34,12 +51,6 @@ std::optional<CaptureReader> CaptureReader::from_file(
   return CaptureReader(std::move(data));
 }
 
-void CaptureReader::rewind() {
-  cursor_ = body_offset_;
-  end_seen_ = false;
-  if (header_) error_.clear();
-}
-
 std::optional<CaptureRecord> CaptureReader::parse_record(
     ByteReader& r, bool& end_seen, std::string& error) const {
   if (r.done()) return std::nullopt;  // clean EOF
@@ -55,6 +66,12 @@ std::optional<CaptureRecord> CaptureReader::parse_record(
   }
   if (*len > kMaxRecordPayload || *len > r.remaining()) {
     error = "record length exceeds remaining input";
+    return std::nullopt;
+  }
+  if (!version_holds(header_->version, static_cast<RecordType>(*type))) {
+    error = "record type " + std::to_string(*type) +
+            " cannot appear in a SACP version " +
+            std::to_string(header_->version) + " capture";
     return std::nullopt;
   }
   CaptureRecord rec;
@@ -172,22 +189,6 @@ ValidationReport CaptureReader::validate() const {
   }
   report.ok = true;
   return report;
-}
-
-std::vector<ByteStream> CaptureReader::decision_payloads() const {
-  std::vector<ByteStream> out;
-  if (!header_) return out;
-  ByteReader r(data_.data() + body_offset_, data_.size() - body_offset_);
-  bool end_seen = false;
-  std::string error;
-  for (;;) {
-    auto rec = parse_record(r, end_seen, error);
-    if (!rec) break;
-    if (rec->type == RecordType::kDecision) {
-      out.push_back(std::move(rec->payload));
-    }
-  }
-  return out;
 }
 
 namespace {

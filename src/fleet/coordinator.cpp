@@ -1,6 +1,5 @@
 #include "sa/fleet/coordinator.hpp"
 
-#include <cstdlib>
 #include <functional>
 #include <utility>
 
@@ -9,18 +8,6 @@
 #include "sa/sim/scenario.hpp"
 
 namespace sa {
-
-namespace {
-
-std::optional<std::size_t> parse_size(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return std::nullopt;
-  return static_cast<std::size_t>(v);
-}
-
-}  // namespace
 
 DeploymentSpec site_spec(const FleetSpec& spec, std::size_t index) {
   DeploymentSpec site = spec.site;
@@ -45,9 +32,11 @@ std::optional<FleetSpec> fleet_from_header(const CaptureHeader& header) {
   const auto sites_meta = header.meta("sa.fleet.sites");
   const auto stride_meta = header.meta("sa.fleet.seed_stride");
   if (!sites_meta || !stride_meta) return std::nullopt;
-  const auto sites = parse_size(*sites_meta);
-  const auto stride = parse_size(*stride_meta);
-  if (!sites || *sites == 0 || !stride) return std::nullopt;
+  const auto sites = parse_u64(*sites_meta);
+  const auto stride = parse_u64(*stride_meta);
+  if (!sites || *sites == 0 || *sites > kMaxFleetSites || !stride) {
+    return std::nullopt;
+  }
   if (header.num_aps == 0 || header.num_aps % *sites != 0) return std::nullopt;
   // The per-site deployment keys round-trip through the single-site
   // parser with num_aps scaled down to one site's share.
@@ -55,6 +44,11 @@ std::optional<FleetSpec> fleet_from_header(const CaptureHeader& header) {
   per_site.num_aps = static_cast<std::uint32_t>(header.num_aps / *sites);
   const auto site = deployment_from_header(per_site);
   if (!site) return std::nullopt;
+  // kMaxAntennaBands bounds the whole fleet, not just one site.
+  if (std::uint64_t{header.num_aps} * site->antennas * site->subbands >
+      kMaxAntennaBands) {
+    return std::nullopt;
+  }
   FleetSpec spec;
   spec.site = *site;
   spec.num_sites = *sites;

@@ -1,23 +1,15 @@
 #include "sa/fleet/replay.hpp"
 
-#include <cstdlib>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "sa/common/error.hpp"
 #include "sa/fleet/coordinator.hpp"
 
 namespace sa {
 
 namespace {
-
-std::optional<std::size_t> parse_size(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return std::nullopt;
-  return static_cast<std::size_t>(v);
-}
 
 FleetReplayResult fail(FleetReplayResult result, std::string error) {
   result.ok = false;
@@ -25,38 +17,46 @@ FleetReplayResult fail(FleetReplayResult result, std::string error) {
   return result;
 }
 
-FleetReplayResult run(CaptureReader reader_value,
-                      std::size_t threads_per_site) {
+FleetReplayResult run(CaptureReader reader, std::size_t threads_per_site) {
   FleetReplayResult result;
-  CaptureReader* reader = &reader_value;
-  if (!reader->header()) return fail(result, "malformed capture header");
-  const CaptureHeader& header = *reader->header();
-  if (header.version < kSacpVersionFleet) {
-    return fail(result, "not a fleet capture (version " +
-                            std::to_string(header.version) + ")");
-  }
-  const auto spec = fleet_from_header(header);
-  if (!spec) return fail(result, "header does not describe a fleet");
+  if (!reader.header()) return fail(result, "malformed capture header");
+  const CaptureHeader& header = *reader.header();
+  const bool fleet_capture = header.version >= kSacpVersionFleet;
 
   FleetConfig config;
-  config.spec = *spec;
   config.threads_per_site = threads_per_site;
   config.with_sim = false;
-  // The recording driver stamps the idle horizon it actually ran with;
-  // replay must apply the same horizon or tracker expiry timing — and
-  // hence decisions — diverge.
-  if (const auto idle = header.meta("sa.fleet.spoof_idle")) {
-    const auto frames = parse_size(*idle);
-    if (!frames) return fail(result, "bad sa.fleet.spoof_idle");
-    config.spoof_idle_frames = *frames;
-  }
-  // Version 3: rebuild the recorded faulty channel — the plan string is
-  // the whole channel state, so the replayed run loses, duplicates and
-  // corrupts exactly the datagrams the original did.
-  if (const auto plan_text = header.meta("sa.fleet.fault_plan")) {
-    const auto plan = FaultPlan::parse(*plan_text);
-    if (!plan) return fail(result, "bad sa.fleet.fault_plan");
-    config.fault_plan = *plan;
+  if (fleet_capture) {
+    const auto spec = fleet_from_header(header);
+    if (!spec) {
+      return fail(result, "header does not describe a replayable fleet");
+    }
+    config.spec = *spec;
+    // The recording driver stamps the idle horizon it actually ran with;
+    // replay must apply the same horizon or tracker expiry timing — and
+    // hence decisions — diverge.
+    if (const auto idle = header.meta("sa.fleet.spoof_idle")) {
+      const auto frames = parse_u64(*idle);
+      if (!frames) return fail(result, "bad sa.fleet.spoof_idle");
+      config.spoof_idle_frames = *frames;
+    }
+    // Version 3: rebuild the recorded faulty channel — the plan string
+    // is the whole channel state, so the replayed run loses, duplicates
+    // and corrupts exactly the datagrams the original did.
+    if (const auto plan_text = header.meta("sa.fleet.fault_plan")) {
+      const auto plan = FaultPlan::parse(*plan_text);
+      if (!plan) return fail(result, "bad sa.fleet.fault_plan");
+      config.fault_plan = *plan;
+    }
+  } else {
+    // Version 1: the single session that recorded it, as a 1-site fleet
+    // with tracker idle expiry off (the session default).
+    const auto site = deployment_from_header(header);
+    if (!site) {
+      return fail(result, "header does not describe a replayable deployment");
+    }
+    config.spec = FleetSpec{*site, 1, 0};
+    config.spoof_idle_frames = 0;
   }
   FleetCoordinator fleet(config);
   result.sites = fleet.num_sites();
@@ -65,30 +65,37 @@ FleetReplayResult run(CaptureReader reader_value,
   std::map<MacAddress, HandoffResult> last_handoff;
 
   // Recorded per-site decision tracks, in each site's sequence order.
-  std::map<std::uint32_t, std::vector<ByteStream>> expected;
-  bool end_seen = false;
-  while (auto rec = reader->next()) {
+  std::vector<std::vector<ByteStream>> expected(fleet.num_sites());
+  while (auto rec = reader.next()) {
     switch (rec->type) {
       case RecordType::kChunk: {
-        if (!rec->chunk) return fail(result, "undecodable chunk record");
         if (rec->chunk->ap >= fleet.total_aps()) {
           return fail(result, "chunk AP out of range");
         }
-        fleet.submit_global(rec->chunk->ap, std::move(rec->chunk->samples));
+        try {
+          fleet.submit_global(rec->chunk->ap, std::move(rec->chunk->samples));
+        } catch (const InvalidArgument& e) {
+          result.refused = true;
+          return fail(result, e.what());
+        }
         ++result.chunks_submitted;
         break;
       }
-      case RecordType::kDecision:
-        return fail(result, "plain decision record in fleet capture");
+      case RecordType::kDecision:  // version 1: site 0's track
+        expected[0].push_back(std::move(rec->payload));
+        break;
       case RecordType::kSiteDecision: {
-        if (!rec->site_decision) {
-          return fail(result, "undecodable site-decision record");
+        const std::uint32_t site = rec->site_decision->site;
+        if (site >= fleet.num_sites()) {
+          return fail(result, "decision for site " + std::to_string(site) +
+                                  " outside the " +
+                                  std::to_string(fleet.num_sites()) +
+                                  "-site fleet");
         }
-        expected[rec->site_decision->site].push_back(std::move(rec->payload));
+        expected[site].push_back(std::move(rec->payload));
         break;
       }
       case RecordType::kAssoc: {
-        if (!rec->assoc) return fail(result, "undecodable assoc record");
         const MacAddress mac(rec->assoc->mac);
         auto hr = fleet.notify_association(mac, rec->assoc->site);
         if (hr.outcome != FleetImportOutcome::kApplied) {
@@ -107,9 +114,6 @@ FleetReplayResult run(CaptureReader reader_value,
         break;
       }
       case RecordType::kTransport: {
-        if (!rec->transport) {
-          return fail(result, "undecodable transport record");
-        }
         const MacAddress mac(rec->transport->mac);
         const auto it = last_handoff.find(mac);
         if (it == last_handoff.end()) {
@@ -139,12 +143,14 @@ FleetReplayResult run(CaptureReader reader_value,
         ++result.drains_run;
         break;
       case RecordType::kEnd:
-        end_seen = true;
         break;
     }
   }
-  if (!reader->error().empty()) return fail(result, reader->error());
-  if (!end_seen) return fail(result, "capture not cleanly closed (no kEnd)");
+  // The reader's structural verdict: a parse error (the loop above stops
+  // at it), a record type the header's version cannot hold, no kEnd, or
+  // kEnd totals that disagree with the records.
+  const ValidationReport report = reader.validate();
+  if (!report.ok) return fail(result, report.error);
 
   // Quiesce without a flush pass: the recording ended post-drain, so an
   // extra flush here would add rounds the recording never ran.
@@ -154,19 +160,21 @@ FleetReplayResult run(CaptureReader reader_value,
 
   for (std::size_t s = 0; s < fleet.num_sites(); ++s) {
     const auto& actual = fleet.decisions(s);
-    const auto it = expected.find(static_cast<std::uint32_t>(s));
-    const std::size_t want = it == expected.end() ? 0 : it->second.size();
-    if (actual.size() != want) {
+    const auto& want = expected[s];
+    if (actual.size() != want.size()) {
       return fail(result, "site " + std::to_string(s) + ": replay emitted " +
                               std::to_string(actual.size()) +
                               " decisions, capture has " +
-                              std::to_string(want));
+                              std::to_string(want.size()));
     }
-    for (std::size_t i = 0; i < want; ++i) {
-      const ByteStream got = encode_site_decision(
-          static_cast<std::uint32_t>(s), actual[i].sequence,
-          actual[i].absolute_start, actual[i].decision);
-      if (got != it->second[i]) {
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const EngineDecision& d = actual[i];
+      const ByteStream got =
+          fleet_capture
+              ? encode_site_decision(static_cast<std::uint32_t>(s),
+                                     d.sequence, d.absolute_start, d.decision)
+              : encode_decision(d.sequence, d.absolute_start, d.decision);
+      if (got != want[i]) {
         return fail(result, "site " + std::to_string(s) + " decision " +
                                 std::to_string(i) +
                                 " diverged from the recorded bytes");

@@ -35,14 +35,6 @@ std::optional<double> parse_prob(const std::string& s) {
   return v;
 }
 
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return std::nullopt;
-  return static_cast<std::uint64_t>(v);
-}
-
 std::optional<FaultKind> fault_kind_from(const std::string& s) {
   if (s == "drop") return FaultKind::kDrop;
   if (s == "dup") return FaultKind::kDuplicate;

@@ -1,6 +1,5 @@
 #include "sa/sim/deployment.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 namespace sa {
@@ -15,6 +14,8 @@ std::string policies_to_string(const std::vector<PolicyKind>& policies) {
   }
   return out;
 }
+
+}  // namespace
 
 std::optional<std::vector<PolicyKind>> policies_from_string(
     const std::string& list) {
@@ -34,16 +35,6 @@ std::optional<std::vector<PolicyKind>> policies_from_string(
   return kinds;
 }
 
-std::optional<std::size_t> parse_size(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return std::nullopt;
-  return static_cast<std::size_t>(v);
-}
-
-}  // namespace
-
 CaptureHeader capture_header_for(const DeploymentSpec& spec) {
   CaptureHeader header;
   header.num_aps = static_cast<std::uint32_t>(spec.num_aps);
@@ -56,6 +47,10 @@ CaptureHeader capture_header_for(const DeploymentSpec& spec) {
                                std::string(to_string(spec.band_fusion)));
   header.metadata.emplace_back("sa.policies",
                                policies_to_string(spec.policies));
+  if (spec.max_tracked_macs > 0) {
+    header.metadata.emplace_back("sa.max_tracked",
+                                 std::to_string(spec.max_tracked_macs));
+  }
   return header;
 }
 
@@ -77,21 +72,31 @@ std::optional<DeploymentSpec> deployment_from_header(
   if (!antennas || !estimator || !subbands || !fusion || !policies) {
     return std::nullopt;
   }
-  const auto n_ant = parse_size(*antennas);
-  if (!n_ant || *n_ant < 2 || *n_ant > 64) return std::nullopt;
+  // Any count but the octagon's 8 is a uniform circular array, which
+  // needs at least 3 elements.
+  const auto n_ant = parse_u64(*antennas);
+  if (!n_ant || *n_ant < 3 || *n_ant > 64) return std::nullopt;
   spec.antennas = *n_ant;
   const auto backend = aoa_backend_from_string(*estimator);
   if (!backend) return std::nullopt;
   spec.estimator = *backend;
-  const auto n_sub = parse_size(*subbands);
+  const auto n_sub = parse_u64(*subbands);
   if (!n_sub || *n_sub == 0 || *n_sub > 64) return std::nullopt;
   spec.subbands = *n_sub;
+  if (std::uint64_t{header.num_aps} * *n_ant * *n_sub > kMaxAntennaBands) {
+    return std::nullopt;
+  }
   const auto bf = band_fusion_from_string(*fusion);
   if (!bf) return std::nullopt;
   spec.band_fusion = *bf;
   const auto kinds = policies_from_string(*policies);
   if (!kinds) return std::nullopt;
   spec.policies = *kinds;
+  if (const auto bound = header.meta("sa.max_tracked")) {
+    const auto macs = parse_u64(*bound);
+    if (!macs || *macs == 0 || *macs > kMaxTrackedMacs) return std::nullopt;
+    spec.max_tracked_macs = *macs;
+  }
   return spec;
 }
 
@@ -105,6 +110,9 @@ std::string describe(const DeploymentSpec& spec) {
   out += " band-fusion=";
   out += to_string(spec.band_fusion);
   out += " policies=" + policies_to_string(spec.policies);
+  if (spec.max_tracked_macs > 0) {
+    out += " max-tracked=" + std::to_string(spec.max_tracked_macs);
+  }
   return out;
 }
 
@@ -140,6 +148,11 @@ BuiltDeployment build_deployment(const DeploymentSpec& spec, bool with_sim) {
   built.engine.coordinator.fence_boundary = built.testbed.building_outline();
   built.engine.coordinator.min_aps_for_fence = 2;
   built.engine.coordinator.policies = spec.policies;
+  if (spec.max_tracked_macs > 0) {
+    built.engine.coordinator.max_tracked_macs = spec.max_tracked_macs;
+    built.engine.coordinator.rate_limit.max_tracked_macs =
+        spec.max_tracked_macs;
+  }
   // The ACL baseline allows exactly the testbed's legitimate clients —
   // which is why MAC spoofing subverts it (paper §1).
   AccessControlList acl;

@@ -2,10 +2,10 @@
 // header round-trip, the handoff state machine (generation guard,
 // stale/malformed/bad-site rejection, handoff under a backpressured
 // pipeline), cross-thread/cross-site determinism of recorded fleet
-// captures, fleet replay at several thread counts, each replay driver
-// refusing the other's captures, the roaming scenario's shape, and the
-// acceptance oracle: a roaming client's post-handoff decisions must be
-// byte-identical to a single session that never split the state at all.
+// captures, fleet replay at several thread counts, the roaming
+// scenario's shape, and the acceptance oracle: a roaming client's
+// post-handoff decisions must be byte-identical to a single session that
+// never split the state at all.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 
 #include "sa/capture/format.hpp"
 #include "sa/capture/reader.hpp"
-#include "sa/capture/replay.hpp"
 #include "sa/capture/writer.hpp"
 #include "sa/engine/session.hpp"
 #include "sa/fleet/coordinator.hpp"
@@ -438,58 +437,6 @@ TEST(FleetReplay, RoundTripsAtSeveralThreadCounts) {
   EXPECT_FALSE(bad.ok);
   EXPECT_FALSE(bad.error.empty());
   std::remove(path.c_str());
-}
-
-TEST(FleetReplay, EachDriverRefusesTheOthersCaptures) {
-  // A fleet capture (version >= 2) and a single-site one (version 1).
-  const std::string fleet_path = temp_path("cross_fleet");
-  record_roaming(fleet_path, 2, 1, 0.2);
-  DeploymentSpec spec;
-  spec.num_aps = 2;
-  spec.antennas = 4;
-  BuiltDeployment dep = build_deployment(spec, /*with_sim=*/false);
-  SessionConfig scfg;
-  scfg.engine = dep.engine;
-  const std::string site_path = temp_path("cross_site");
-  {
-    CaptureWriter writer(site_path, capture_header_for(spec));
-    SessionConfig recording = scfg;
-    recording.engine.capture = &writer;
-    EngineSession session(recording, dep.ap_ptrs, [](const EngineDecision&) {});
-    session.submit_round(std::vector<CMat>(2, CMat(4, 256)));
-    session.drain();
-    writer.close();
-    session.close();
-  }
-
-  // The single-site driver refuses the fleet capture before submitting
-  // a chunk, and replays its own.
-  {
-    EngineSession session(scfg, dep.ap_ptrs, [](const EngineDecision&) {});
-    auto fleet_source = ReplaySource::from_file(fleet_path);
-    ASSERT_TRUE(fleet_source.has_value());
-    const ReplayResult refused = fleet_source->replay_into(session);
-    EXPECT_FALSE(refused.ok);
-    EXPECT_NE(refused.error.find("fleet capture"), std::string::npos)
-        << refused.error;
-    EXPECT_EQ(refused.chunks_submitted, 0u);
-    auto site_source = ReplaySource::from_file(site_path);
-    ASSERT_TRUE(site_source.has_value());
-    const ReplayResult own = site_source->replay_into(session);
-    EXPECT_TRUE(own.ok) << own.error;
-    session.close();
-  }
-
-  // The fleet driver refuses the single-site capture, and replays its own.
-  const FleetReplayResult refused = replay_fleet_capture(site_path, 1);
-  EXPECT_FALSE(refused.ok);
-  EXPECT_NE(refused.error.find("not a fleet capture"), std::string::npos)
-      << refused.error;
-  EXPECT_EQ(refused.chunks_submitted, 0u);
-  const FleetReplayResult own = replay_fleet_capture(fleet_path, 1);
-  EXPECT_TRUE(own.ok) << own.error;
-  std::remove(fleet_path.c_str());
-  std::remove(site_path.c_str());
 }
 
 // ------------------------------------------------------ lossy transport

@@ -1,12 +1,14 @@
 // capture_tool: inspect, validate, diff, corrupt and replay SACP
 // captures (sa/capture). The replay command is the record/replay
-// contract made executable: rebuild the recorded deployment from the
-// capture header, feed the recorded chunk stream back through a live
-// EngineSession at any thread count, and require the decision stream to
-// come out byte-identical to the recorded one. The truncate/mutate/fuzz
-// commands are the adversarial side: they produce damaged captures and
-// assert the parser and the replay path reject them cleanly instead of
-// crashing — run the fuzz command under ASan for the real guarantee.
+// contract made executable: rebuild the recorded deployment (or fleet)
+// from the capture header, feed the recorded records back through it at
+// any thread count, and require every decision track to come out
+// byte-identical to the recorded one. Every SACP version replays through
+// the one driver, replay_fleet_capture (sa/fleet/replay.hpp); a
+// version-1 capture is a 1-site fleet. The truncate/mutate/fuzz commands
+// are the adversarial side: they produce damaged captures and assert the
+// parser and the replay path reject them cleanly instead of crashing —
+// run the fuzz command under ASan for the real guarantee.
 //
 // Usage:
 //   capture_tool inspect  FILE
@@ -15,18 +17,23 @@
 //   capture_tool truncate IN OUT BYTES     # keep the first BYTES bytes
 //   capture_tool mutate   IN OUT SEED [OPS]
 //   capture_tool mutate-nan IN OUT         # poison the first IQ sample
-//   capture_tool replay   FILE [--threads N] [--out PATH] [--expect-reject]
-//                         # fleet captures (SACP version >= 2) rebuild
-//                         # the whole fleet from the header, re-drive
-//                         # chunks, handoffs and drains in file order and
+//   capture_tool replay   FILE [--threads N] [--expect-reject]
+//                         # rebuild the fleet from the header (a version-1
+//                         # capture is one site), re-drive chunks,
+//                         # handoffs and drains in file order and
 //                         # byte-compare every site's decision track;
-//                         # --out and --expect-reject are single-site only
+//                         # --expect-reject passes only if the engine
+//                         # refuses a recorded chunk at submit
 //   capture_tool fuzz     FILE [--seed S] [--count N] [--ops K]
 //                              [--no-replay] [--policies CSV]
 //                              [--max-tracked N]
-//                         # --policies and --max-tracked are single-site
-//                         # only; a fleet capture's mutants replay
-//                         # through the fleet driver
+//                         # mutants replay through the same driver (a
+//                         # mutant whose header no longer parses under
+//                         # the original header); --policies /
+//                         # --max-tracked (<= kMaxTrackedMacs) are
+//                         # written into the replayed header as
+//                         # sa.policies / sa.max_tracked, replacing
+//                         # every site's policy chain / tracked-MAC bound
 //   capture_tool fuzz-wire [--seed S] [--count N] [--ops K]
 //                         # blind byte-flips of every FleetWire frame
 //                         # kind (kClientState, kTransportData, kAck)
@@ -58,15 +65,10 @@
 #include <vector>
 
 #include "sa/capture/reader.hpp"
-#include "sa/capture/replay.hpp"
-#include "sa/capture/writer.hpp"
-#include "sa/common/error.hpp"
-#include "sa/engine/session.hpp"
 #include "sa/fleet/coordinator.hpp"
 #include "sa/fleet/replay.hpp"
 #include "sa/fleet/transport.hpp"
 #include "sa/fleet/wire.hpp"
-#include "sa/secure/policy.hpp"
 #include "sa/signature/serialize.hpp"
 #include "sa/sim/deployment.hpp"
 
@@ -82,8 +84,7 @@ namespace {
                "       capture_tool truncate IN OUT BYTES\n"
                "       capture_tool mutate   IN OUT SEED [OPS]\n"
                "       capture_tool mutate-nan IN OUT\n"
-               "       capture_tool replay   FILE [--threads N] [--out PATH]\n"
-               "                                  [--expect-reject]\n"
+               "       capture_tool replay   FILE [--threads N] [--expect-reject]\n"
                "       capture_tool fuzz     FILE [--seed S] [--count N]\n"
                "                                  [--ops K] [--no-replay]\n"
                "                                  [--policies CSV]\n"
@@ -120,13 +121,6 @@ void write_file_or_die(const std::string& path, const ByteStream& data) {
     std::exit(1);
   }
   std::fclose(f);
-}
-
-/// Fleet captures (SACP version >= 2) take the fleet replay driver;
-/// everything else, malformed headers included, the single-site one.
-bool is_fleet_capture(const std::string& path) {
-  const CaptureReader reader(read_file_or_die(path));
-  return reader.header() && reader.header()->version >= kSacpVersionFleet;
 }
 
 int cmd_inspect(const std::string& path) {
@@ -323,108 +317,23 @@ int cmd_mutate_nan(const std::string& in, const std::string& out) {
   return 1;
 }
 
-struct ReplayOutcome {
-  bool ran = false;          ///< the replay itself ran to the end
-  bool identical = false;    ///< decision track matched byte-for-byte
-  std::string detail;
-};
-
-/// Replay `reader`'s chunk stream through a fresh deployment built from
-/// its own header and compare the decision streams byte-for-byte.
-ReplayOutcome replay_and_compare(const CaptureReader& reader,
-                                 std::size_t threads,
-                                 const std::string& out_path) {
-  ReplayOutcome outcome;
-  if (!reader.header()) {
-    outcome.detail = "malformed SACP header";
-    return outcome;
-  }
-  const auto spec = deployment_from_header(*reader.header());
-  if (!spec) {
-    outcome.detail = "header does not describe a replayable deployment";
-    return outcome;
-  }
-  BuiltDeployment dep = build_deployment(*spec, /*with_sim=*/false);
-  EngineConfig ecfg = dep.engine;
-  ecfg.num_threads = threads;
-
-  std::optional<CaptureWriter> writer;
-  if (!out_path.empty()) {
-    writer.emplace(out_path, *reader.header());
-    ecfg.capture = &*writer;
-  }
-
-  const std::vector<ByteStream> recorded = reader.decision_payloads();
-  std::size_t matched = 0;
-  std::string mismatch;
-  SessionConfig scfg;
-  scfg.engine = ecfg;
-  {
-    EngineSession session(scfg, dep.ap_ptrs, [&](const EngineDecision& d) {
-      const ByteStream bytes =
-          encode_decision(d.sequence, d.absolute_start, d.decision);
-      if (matched < recorded.size() && bytes == recorded[matched]) {
-        ++matched;
-      } else if (mismatch.empty()) {
-        mismatch = "decision " + std::to_string(d.sequence) +
-                   (matched < recorded.size() ? " differs from the recording"
-                                              : " has no recorded counterpart");
-      }
-    });
-    ReplaySource source{CaptureReader(reader.bytes())};
-    const ReplayResult result = source.replay_into(session);
-    if (!result.ok) {
-      outcome.detail = "replay failed: " + result.error;
-      if (writer) writer->close();
-      session.close();
-      return outcome;
-    }
-    if (writer) writer->close();
-    session.close();
-  }
-  outcome.ran = true;
-  if (!mismatch.empty()) {
-    outcome.detail = mismatch;
-  } else if (matched != recorded.size()) {
-    outcome.detail = "replay emitted " + std::to_string(matched) + " of " +
-                     std::to_string(recorded.size()) + " recorded decisions";
-  } else {
-    outcome.identical = true;
-    outcome.detail =
-        std::to_string(matched) + " decision(s) byte-identical";
-  }
-  return outcome;
-}
-
 int cmd_replay(const std::string& path, std::size_t threads,
-               const std::string& out_path, bool expect_reject) {
-  CaptureReader reader(read_file_or_die(path));
+               bool expect_reject) {
+  const FleetReplayResult result = replay_fleet_capture(path, threads);
   if (expect_reject) {
     // Inverted contract for hostile captures (e.g. corpus/rejects/):
     // success means the engine's ingress validation refused the stream.
-    try {
-      const ReplayOutcome outcome =
-          replay_and_compare(reader, threads, out_path);
-      std::printf("%s: NOT rejected (%s)\n", path.c_str(),
-                  outcome.detail.c_str());
-      return 1;
-    } catch (const InvalidArgument& e) {
-      std::printf("%s: rejected as expected: %s\n", path.c_str(), e.what());
+    if (result.refused) {
+      std::printf("%s: rejected as expected: %s\n", path.c_str(),
+                  result.error.c_str());
       return 0;
     }
+    std::printf("%s: NOT rejected (%s)\n", path.c_str(),
+                result.ok ? "replayed cleanly" : result.error.c_str());
+    return 1;
   }
-  const ReplayOutcome outcome = replay_and_compare(reader, threads, out_path);
-  std::printf("%s: %s\n", path.c_str(), outcome.detail.c_str());
-  if (!out_path.empty() && outcome.ran) {
-    std::printf("replay capture written to %s\n", out_path.c_str());
-  }
-  return outcome.identical ? 0 : 1;
-}
-
-int cmd_replay_fleet(const std::string& path, std::size_t threads) {
-  const FleetReplayResult result = replay_fleet_capture(path, threads);
   if (!result.ok) {
-    std::printf("%s: fleet replay failed: %s\n", path.c_str(),
+    std::printf("%s: replay failed: %s\n", path.c_str(),
                 result.error.c_str());
     return 1;
   }
@@ -436,44 +345,6 @@ int cmd_replay_fleet(const std::string& path, std::size_t threads) {
       static_cast<unsigned long long>(result.assocs_replayed),
       static_cast<unsigned long long>(result.drains_run),
       static_cast<unsigned long long>(result.decisions_checked));
-  return 0;
-}
-
-/// Fleet-capture fuzz: every mutant goes through the parser and the
-/// full fleet replay path, which must come back with ok/error — the
-/// loop only fails by crashing (run it under ASan/UBSan for the real
-/// guarantee).
-int cmd_fuzz_fleet(const std::string& path, std::uint64_t seed,
-                   std::size_t count, std::size_t ops, bool with_replay) {
-  const ByteStream original = read_file_or_die(path);
-  std::size_t parsed_ok = 0, rejected = 0, replays = 0, replay_errors = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const ByteStream mutant = mutate_capture(original, seed + i, ops);
-    CaptureReader reader{ByteStream(mutant)};
-    if (reader.validate().ok) {
-      ++parsed_ok;
-    } else {
-      ++rejected;
-    }
-    if (!with_replay) continue;
-    const FleetReplayResult result =
-        replay_fleet_capture(ByteStream(mutant), /*threads_per_site=*/1);
-    if (result.ok) {
-      ++replays;
-    } else {
-      ++replay_errors;
-    }
-  }
-  std::printf(
-      "%s: %zu fleet mutant(s), seed %llu, %zu op(s) each: %zu still valid, "
-      "%zu rejected by the parser",
-      path.c_str(), count, static_cast<unsigned long long>(seed), ops,
-      parsed_ok, rejected);
-  if (with_replay) {
-    std::printf(", %zu replayed, %zu rejected in replay", replays,
-                replay_errors);
-  }
-  std::printf(" — no crashes\n");
   return 0;
 }
 
@@ -716,74 +587,76 @@ int cmd_fuzz_wire(std::uint64_t seed, std::size_t count, std::size_t ops) {
   return hostile_accepted == 0 ? 0 : 1;
 }
 
+/// Set header metadata `key` to `value`, replacing an existing entry.
+void set_meta(CaptureHeader& header, const std::string& key,
+              std::string value) {
+  for (auto& [k, v] : header.metadata) {
+    if (k == key) {
+      v = std::move(value);
+      return;
+    }
+  }
+  header.metadata.emplace_back(key, std::move(value));
+}
+
+/// What the fuzz loop replays for one mutant. A mutant whose header
+/// still parses replays under it; one whose header no longer parses
+/// takes the original header (its records start where the original's
+/// did), so its records still reach the dataplane. `policies` /
+/// `max_tracked`, when given, are written into that header as
+/// "sa.policies" / "sa.max_tracked", which replay applies to every site.
+ByteStream fuzz_replay_input(const ByteStream& mutant,
+                             const std::optional<CaptureHeader>& own,
+                             const std::optional<CaptureHeader>& original,
+                             const std::string& policies,
+                             std::size_t max_tracked) {
+  const bool rewrite = !policies.empty() || max_tracked > 0;
+  std::optional<CaptureHeader> header = own ? own : original;
+  if (!header || (own && !rewrite)) return mutant;
+  // A parsed header re-encodes to exactly the bytes it was parsed from.
+  const std::size_t body = encode_header(*header).size();
+  if (!policies.empty()) set_meta(*header, "sa.policies", policies);
+  if (max_tracked > 0) {
+    set_meta(*header, "sa.max_tracked", std::to_string(max_tracked));
+  }
+  ByteStream out = encode_header(*header);
+  if (body < mutant.size()) {
+    out.insert(out.end(), mutant.begin() + static_cast<long>(body),
+               mutant.end());
+  }
+  return out;
+}
+
+/// Capture fuzz: every mutant goes through the parser and the full
+/// replay path, which must come back with ok/error — the loop only fails
+/// by crashing (run it under ASan/UBSan for the real guarantee).
+/// `policies` / `max_tracked` replace every site's policy chain and
+/// tracked-MAC bound, e.g. the full acl,fence,spoof,rate stack with a
+/// bound small enough that the compact per-MAC state is forced to evict
+/// under fire.
 int cmd_fuzz(const std::string& path, std::uint64_t seed, std::size_t count,
-             std::size_t ops, bool with_replay, const std::string& policies_csv,
+             std::size_t ops, bool with_replay, const std::string& policies,
              std::size_t max_tracked) {
   const ByteStream original = read_file_or_die(path);
-  // A mutated capture usually no longer describes the same deployment;
-  // replay it into a session built from the ORIGINAL header, which is
-  // the realistic attack surface (a hostile capture fed to a fixed
-  // deployment) and keeps a mutated num_aps from requesting an absurd
-  // construction.
-  std::optional<DeploymentSpec> spec;
-  {
-    CaptureReader reader{ByteStream(original)};
-    if (reader.header()) spec = deployment_from_header(*reader.header());
-  }
-  if (spec && !policies_csv.empty()) {
-    // Run the mutants through a caller-chosen policy chain instead of
-    // the recorded one — e.g. the full acl,fence,spoof,rate stack
-    // (decode is implicit) with --max-tracked small enough that the
-    // compact per-MAC state is forced to evict under fire.
-    std::vector<PolicyKind> kinds;
-    std::size_t start = 0;
-    while (start <= policies_csv.size()) {
-      std::size_t comma = policies_csv.find(',', start);
-      if (comma == std::string::npos) comma = policies_csv.size();
-      const std::string token = policies_csv.substr(start, comma - start);
-      const auto kind = policy_kind_from_string(token);
-      if (!kind) {
-        std::fprintf(stderr, "capture_tool: unknown policy '%s'\n",
-                     token.c_str());
-        return 2;
-      }
-      kinds.push_back(*kind);
-      start = comma + 1;
-    }
-    spec->policies = std::move(kinds);
-  }
+  const std::optional<CaptureHeader> original_header =
+      CaptureReader{ByteStream(original)}.header();
   std::size_t parsed_ok = 0, rejected = 0, replays = 0, replay_errors = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const ByteStream mutant = mutate_capture(original, seed + i, ops);
     CaptureReader reader{ByteStream(mutant)};
-    const ValidationReport report = reader.validate();
-    if (report.ok) {
+    if (reader.validate().ok) {
       ++parsed_ok;
     } else {
       ++rejected;
     }
-    if (!with_replay || !spec) continue;
-    try {
-      BuiltDeployment dep = build_deployment(*spec, /*with_sim=*/false);
-      SessionConfig scfg;
-      scfg.engine = dep.engine;
-      scfg.engine.num_threads = 1;
-      if (max_tracked > 0) {
-        scfg.engine.coordinator.max_tracked_macs = max_tracked;
-        scfg.engine.coordinator.rate_limit.max_tracked_macs = max_tracked;
-      }
-      EngineSession session(scfg, dep.ap_ptrs, [](const EngineDecision&) {});
-      ReplaySource source{CaptureReader(ByteStream(mutant))};
-      const ReplayResult result = source.replay_into(session);
-      session.close();
-      if (result.ok) {
-        ++replays;
-      } else {
-        ++replay_errors;
-      }
-    } catch (const std::exception&) {
-      // A clean rejection (bad chunk geometry, writer state, ...) is a
-      // pass — the fuzz loop only fails by crashing.
+    if (!with_replay) continue;
+    const FleetReplayResult result = replay_fleet_capture(
+        fuzz_replay_input(mutant, reader.header(), original_header, policies,
+                          max_tracked),
+        /*threads_per_site=*/1);
+    if (result.ok) {
+      ++replays;
+    } else {
       ++replay_errors;
     }
   }
@@ -792,7 +665,7 @@ int cmd_fuzz(const std::string& path, std::uint64_t seed, std::size_t count,
       "%zu rejected by the parser",
       path.c_str(), count, static_cast<unsigned long long>(seed), ops,
       parsed_ok, rejected);
-  if (with_replay && spec) {
+  if (with_replay) {
     std::printf(", %zu replayed, %zu rejected in replay", replays,
                 replay_errors);
   }
@@ -986,14 +859,11 @@ int main(int argc, char** argv) {
   }
   if (cmd == "replay" && !args.empty()) {
     std::string path;
-    std::string out;
     std::size_t threads = 1;
     bool expect_reject = false;
     for (std::size_t i = 0; i < args.size(); ++i) {
       if (args[i] == "--threads" && i + 1 < args.size()) {
         threads = std::strtoull(args[++i].c_str(), nullptr, 10);
-      } else if (args[i] == "--out" && i + 1 < args.size()) {
-        out = args[++i];
       } else if (args[i] == "--expect-reject") {
         expect_reject = true;
       } else if (path.empty() && !args[i].empty() && args[i][0] != '-') {
@@ -1003,11 +873,7 @@ int main(int argc, char** argv) {
       }
     }
     if (path.empty()) usage();
-    if (is_fleet_capture(path)) {
-      if (!out.empty() || expect_reject) usage();
-      return cmd_replay_fleet(path, threads);
-    }
-    return cmd_replay(path, threads, out, expect_reject);
+    return cmd_replay(path, threads, expect_reject);
   }
   if (cmd == "fuzz" && !args.empty()) {
     std::string path;
@@ -1028,8 +894,18 @@ int main(int argc, char** argv) {
         with_replay = false;
       } else if (args[i] == "--policies" && i + 1 < args.size()) {
         policies = args[++i];
+        if (!policies_from_string(policies)) {
+          std::fprintf(stderr, "capture_tool: bad policy list '%s'\n",
+                       policies.c_str());
+          usage();
+        }
       } else if (args[i] == "--max-tracked" && i + 1 < args.size()) {
         max_tracked = std::strtoull(args[++i].c_str(), nullptr, 10);
+        if (max_tracked > kMaxTrackedMacs) {
+          std::fprintf(stderr, "capture_tool: --max-tracked above %zu\n",
+                       kMaxTrackedMacs);
+          usage();
+        }
       } else if (path.empty() && !args[i].empty() && args[i][0] != '-') {
         path = args[i];
       } else {
@@ -1037,10 +913,6 @@ int main(int argc, char** argv) {
       }
     }
     if (path.empty()) usage();
-    if (is_fleet_capture(path)) {
-      if (!policies.empty() || max_tracked != 0) usage();
-      return cmd_fuzz_fleet(path, seed, count, ops, with_replay);
-    }
     return cmd_fuzz(path, seed, count, ops, with_replay, policies, max_tracked);
   }
   if (cmd == "fuzz-wire") {

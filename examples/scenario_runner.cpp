@@ -50,6 +50,7 @@
 // e.g.:  ./build/examples/scenario_runner --scenario flood --threads 4
 //        ./build/examples/scenario_runner --scenario mmpp --capture run.sacp
 //        ./build/examples/scenario_runner --fleet-sites 4 --capture roam.sacp
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -428,9 +429,12 @@ int main(int argc, char** argv) {
 
     SessionConfig scfg;
     scfg.engine = ecfg;
-    std::size_t accepted = 0, dropped = 0;
+    // The sink counts on the session's control thread while report_span
+    // reads mid-run on this one.
+    std::atomic<std::size_t> accepted{0}, dropped{0};
     EngineSession session(scfg, dep.ap_ptrs, [&](const EngineDecision& d) {
-      (d.decision.accepted ? accepted : dropped)++;
+      (d.decision.accepted ? accepted : dropped)
+          .fetch_add(1, std::memory_order_relaxed);
     });
     std::printf("streaming deployment: %zu AP(s), %zu engine thread(s)\n",
                 spec.num_aps, session.num_threads());
@@ -447,7 +451,7 @@ int main(int argc, char** argv) {
           "t=%5.2f..%5.2f%s %5zu frames submitted | decisions so far: "
           "%zu accepted, %zu dropped\n",
           from, to, final_span ? " (final)" : "        ", interval_sent,
-          accepted, dropped);
+          accepted.load(), dropped.load());
       interval_sent = 0;
     };
     while (auto ev = gen.next()) {
@@ -484,10 +488,10 @@ int main(int argc, char** argv) {
         "\ntraffic: %zu frames sent (%zu spoofed, %zu off-site, %zu flood)\n",
         sent, spoofed, offsite, flooded);
     std::printf("decisions: %zu frames | %zu accepted | %zu dropped\n",
-                st.frames, accepted, dropped);
+                st.frames, accepted.load(), dropped.load());
     std::printf("\n%-10s %10s %10s %10s\n", "policy", "evaluated", "accepted",
                 "dropped");
-    for (const auto& ps : session.chain().policy_stats()) {
+    for (const auto& ps : session.policy_stats()) {
       std::printf("%-10.*s %10zu %10zu %10zu\n",
                   static_cast<int>(ps.name.size()), ps.name.data(),
                   ps.evaluated, ps.accepted, ps.dropped);
@@ -536,9 +540,10 @@ int main(int argc, char** argv) {
   });
 
   std::string chain_names = "decode";
-  for (std::size_t i = 1; i < session.chain().size(); ++i) {
+  const auto rows = session.policy_stats();
+  for (std::size_t i = 1; i < rows.size(); ++i) {
     chain_names += "->";
-    chain_names += session.chain().policy(i).name();
+    chain_names += rows[i].name;
   }
   std::printf("deployment: %zu AP(s), %zu engine thread(s), %d packets/client\n",
               spec.num_aps, session.num_threads(), packets);
@@ -611,7 +616,7 @@ int main(int argc, char** argv) {
               st.accepted, st.frames - st.accepted);
   std::printf("\n%-10s %10s %10s %10s\n", "policy", "evaluated", "accepted",
               "dropped");
-  for (const auto& ps : session.chain().policy_stats()) {
+  for (const auto& ps : session.policy_stats()) {
     std::printf("%-10.*s %10zu %10zu %10zu\n",
                 static_cast<int>(ps.name.size()), ps.name.data(), ps.evaluated,
                 ps.accepted, ps.dropped);

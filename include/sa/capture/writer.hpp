@@ -1,6 +1,6 @@
 // CaptureWriter: the recording tap. Producers (submit threads, the
-// session's sequencer, a serial Coordinator) serialize records into an
-// in-memory buffer under a short lock; a background flusher thread swaps
+// session's control thread, a serial Coordinator) serialize records into
+// an in-memory buffer under a short lock; a background flusher thread swaps
 // the buffer out and writes it to disk — so the dataplane never blocks
 // on file I/O (ndn-dpdk pdump's writer-thread split).
 //

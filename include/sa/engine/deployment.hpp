@@ -11,7 +11,8 @@
 //                                        worker: PHY decode, per-subband
 //                                        covariance and AoA, signature)
 //     -> StreamingReceiver::commit      (per AP, same worker)
-//     -> group_frame_observations       (the sequencer, in round order)
+//     -> group_frame_observations       (the control thread, in round
+//                                        order)
 //     -> spoof observe + policy chain   (the worker owning the frame's
 //                                        MAC shard, in sequence order)
 //     -> re-sequenced EngineDecision stream

@@ -1,17 +1,18 @@
 // EngineSession: the engine's push-based API, a lock-free SPSC-ring
 // dataplane. It is built DPDK-style out of single-producer/
 // single-consumer rings (sa/common/spsc_ring.hpp) and shard-affine
-// run-to-completion workers:
+// run-to-completion workers, coordinated by one control thread:
 //
-//   submitters --- per-AP SPSC ring ---> front-end (RX polling loop)
-//   front-end  --- per-worker work ring ---> workers (run-to-completion)
-//   sequencer  --- per-worker decide ring ---> workers
-//   workers    --- per-worker done ring ---> sequencer (re-sequencer)
+//   submitters --- per-AP SPSC ring ---> control (forms rounds)
+//   control    --- per-worker work ring ---> workers (run-to-completion)
+//   control    --- per-worker decide ring ---> workers
+//   workers    --- per-worker done ring ---> control (re-sequencer)
 //
 // Every ring has exactly one producer and one consumer, so the hot path
 // is wait-free: no producer lock, no condvar, no shared queue. Blocking
 // only happens at the quiet edges, via Doorbell's bounded-spin-then-park
-// (after ndn-dpdk's rxloop).
+// (after ndn-dpdk's rxloop). A session with W workers runs W + 1
+// threads.
 //
 // Shard affinity is the invariant that makes this deterministic:
 //  - worker w owns APs {i : i mod W == w} — each AP's StreamingReceiver
@@ -21,17 +22,19 @@
 //    of the schedules StreamingReceiver documents as byte-identical.
 //  - worker w owns MAC shards {s : s mod W == w} — a frame's spoof
 //    observation and policy decision run on the worker owning
-//    shard_of(source MAC), and the sequencer dispatches decide jobs in
-//    global sequence order into per-worker FIFO rings, so every MAC's
-//    tracker and rate-limit state advances in exactly the serial order.
-//    (Frames with no decodable MAC round-robin by sequence number;
-//    they touch no per-MAC state.)
+//    shard_of(source MAC), and the control thread dispatches decide
+//    jobs in global sequence order into per-worker FIFO rings, so every
+//    MAC's tracker and rate-limit state advances in exactly the serial
+//    order. (Frames with no decodable MAC round-robin by sequence
+//    number; they touch no per-MAC state.)
 //
-// The sequencer is the only thread that sees rounds whole: it collects
-// per-AP completions, groups rounds strictly in round order, assigns
-// global sequence numbers, routes decide jobs by MAC shard, buffers the
-// finished decisions, and emits them to the sink strictly in sequence
-// order — byte-identical to the serial pipeline at any worker count.
+// The control thread is the only thread that sees rounds whole. Each
+// time it wakes it drains the workers' done rings, groups scan-complete
+// rounds strictly in round order (assigning global sequence numbers and
+// routing decide jobs by MAC shard), emits finished decisions to the
+// sink strictly in sequence order, retires finished rounds, and then
+// forms and dispatches every round the budget admits — so the output is
+// byte-identical to the serial pipeline at any worker count.
 //
 // Known divergence (documented, matches the pre-existing sharded-spoof
 // caveat): RateLimitPolicy's cross-MAC LRU eviction is partitioned per
@@ -40,13 +43,8 @@
 // windows, and hence decisions while the bound is slack, are exact.
 //
 // Backpressure: `max_inflight_rounds` bounds dispatched-but-undecided
-// rounds. A nonzero `max_inflight_frames` additionally gates dispatch
-// until every in-flight round has reported its candidate count and the
-// budget has room — which serializes scan-ahead (the front-end cannot
-// know a round's candidate count before its scans run), so a bounded
-// budget now trades pipelining for a hard frame bound; the default is
-// 0 (unbounded — the rings and the round bound cap memory). submit()
-// blocks while that AP's ring holds max_pending_chunks chunks.
+// rounds; submit() blocks while that AP's ring holds max_pending_chunks
+// chunks.
 //
 // Lifecycle: drain() processes every submitted chunk plus a final flush
 // pass and returns once all resulting decisions have been emitted — the
@@ -89,10 +87,6 @@ struct SessionConfig {
   /// Rounds that may be dispatched but not yet fully decided at once;
   /// >= 1. 1 degenerates to lock-step.
   std::size_t max_inflight_rounds = 4;
-  /// Candidate frames scanned but not yet decided; 0 = unbounded
-  /// (default). A nonzero bound also serializes scan-ahead — see the
-  /// header comment.
-  std::size_t max_inflight_frames = 0;
   /// Chunks one AP may have queued (submitted but not yet formed into a
   /// round); >= 1. submit() blocks at this bound, so it must exceed the
   /// raggedness of the submission order: pushing one AP more than this
@@ -123,7 +117,7 @@ struct SessionStats {
   /// (>= 2 proves round boundaries were actually overlapped).
   std::size_t max_overlapped_rounds = 0;
 
-  // --- dataplane visibility (new with the SPSC-ring front-end) ---
+  // --- dataplane visibility ---
   /// submit() calls that found their AP's ring full and had to block.
   std::size_t submit_ring_full_blocks = 0;
   /// High-water mark of any submit ring's occupancy.
@@ -158,8 +152,11 @@ struct ClientHandoffState {
 
 class EngineSession {
  public:
-  /// Called on the sequencer thread, strictly in sequence order, never
-  /// concurrently with itself.
+  /// Called on the session's control thread, strictly in sequence
+  /// order, never concurrently with itself. The sink must not call back
+  /// into the session (submit, drain, wait_idle, close, ...): the thread
+  /// that would serve the call is the one running the sink, so the call
+  /// can deadlock.
   using DecisionSink = std::function<void(const EngineDecision&)>;
 
   /// `aps` are borrowed (not owned) and must outlive the session; one
@@ -219,16 +216,21 @@ class EngineSession {
   std::size_t num_aps() const { return aps_.size(); }
   std::size_t num_threads() const { return workers_.size(); }
   const SessionConfig& config() const { return config_; }
-  /// Aggregated over the per-worker policy chains. Exact when the
-  /// pipeline is quiescent (after drain()/wait_idle()); a concurrent
-  /// call may see a frame mid-decision.
+  // Policy-chain counters, summed over the per-worker chains into a
+  // fresh value on each call, so any number of threads may read them at
+  // once. The workers write these counters unsynchronized: read them
+  // while the pipeline is quiescent (after drain()/wait_idle(), with no
+  // concurrent submit()).
+
+  /// The legacy aggregate view.
   Coordinator::Stats stats() const;
-  const PolicyChain& chain() const;
+  /// Per-policy rows in chain order (the decode link first).
+  std::vector<PolicyChain::PolicyStats> policy_stats() const;
   const ShardedSpoofDetector& spoof_detector() const { return spoof_; }
   SessionStats session_stats() const;
 
  private:
-  /// One AP's share of one round, dispatched front-end -> owning worker.
+  /// One AP's share of one round, dispatched control -> owning worker.
   struct ApJob {
     std::uint64_t round = 0;
     std::size_t ap = 0;
@@ -236,15 +238,15 @@ class EngineSession {
     bool final_pass = false;
     std::uint64_t drain_tag = 0;
   };
-  /// One fused frame, dispatched sequencer -> MAC-shard-owning worker.
+  /// One fused frame, dispatched control -> MAC-shard-owning worker.
   struct DecideJob {
     std::uint64_t round = 0;
     std::size_t sequence = 0;
     std::size_t absolute_start = 0;
     std::vector<ApObservation> observations;
   };
-  /// Worker -> sequencer completion (one ring carries both kinds so the
-  /// sequencer observes each worker's progress in order).
+  /// Worker -> control completion (one ring carries both kinds so the
+  /// control thread observes each worker's progress in order).
   struct Completion {
     enum class Kind { kApDone, kDecision } kind = Kind::kApDone;
     std::uint64_t round = 0;
@@ -269,17 +271,17 @@ class EngineSession {
           decide(decide_cap),
           done(done_cap),
           coordinator(coordinator_config) {}
-    SpscRing<ApJob> work;      // producer: front-end
-    SpscRing<DecideJob> decide;  // producer: sequencer
-    SpscRing<Completion> done;   // consumer: sequencer
-    Doorbell bell;
+    SpscRing<ApJob> work;        // producer: control thread
+    SpscRing<DecideJob> decide;  // producer: control thread
+    SpscRing<Completion> done;   // consumer: control thread
+    Doorbell bell;               // control thread -> this worker
     Coordinator coordinator;  ///< owns this worker's policy-chain state
     AccessPoint::FrameScratch scratch;
     std::thread thread;
   };
 
   /// One AP's submission lane. The ring is SPSC (producer: whichever
-  /// thread holds producer_mu; consumer: front-end); producer_mu only
+  /// thread holds producer_mu; consumer: control thread); producer_mu only
   /// serializes concurrent submitters of the *same* AP and is never
   /// taken by the dataplane.
   struct SubmitLane {
@@ -313,16 +315,14 @@ class EngineSession {
     std::atomic<std::size_t> workers_pinned{0};
   };
 
-  void frontend_loop();
+  void control_loop();
   void worker_loop(std::size_t w);
-  void sequencer_loop();
   void process_ap_job(Worker& wk, ApJob job);
   void process_decide_job(Worker& wk, DecideJob job);
   void push_completion(Worker& wk, Completion c);
   void fail(std::exception_ptr error);
   void throw_if_failed() const;
   bool round_formable() const;
-  void refresh_chain() const;
 
   SessionConfig config_;
   std::vector<AccessPoint*> aps_;
@@ -331,20 +331,15 @@ class EngineSession {
   std::vector<std::unique_ptr<SubmitLane>> lanes_;
   std::vector<std::unique_ptr<Worker>> workers_;
   ShardedSpoofDetector spoof_;
-  /// Aggregator: supplies wants_spoof()/chain shape and presents the
-  /// summed per-worker counters via refresh_chain(). Never decides.
-  mutable Coordinator coordinator_;
-  mutable std::mutex chain_mu_;
   DecisionSink sink_;
   /// Busy-poll iterations before a dataplane thread parks on its
   /// doorbell: 0 on a single hardware thread, where spinning can only
   /// delay the producer the consumer waits on; a small budget otherwise.
   std::size_t spin_ = 0;
 
-  Doorbell front_bell_;   // submitters / sequencer -> front-end
-  Doorbell seq_bell_;     // workers -> sequencer
-  Doorbell submit_bell_;  // front-end -> blocked submitters
-  Doorbell done_bell_;    // sequencer -> drain()/wait_idle() waiters
+  Doorbell control_bell_;  // submitters, drain() and workers -> control
+  Doorbell submit_bell_;   // control -> blocked submitters
+  Doorbell done_bell_;     // control -> drain()/wait_idle() waiters
 
   std::atomic<bool> closing_{false};
   std::atomic<bool> failed_{false};
@@ -353,19 +348,16 @@ class EngineSession {
 
   std::atomic<std::uint64_t> drains_requested_{0};
   std::atomic<std::uint64_t> drains_completed_{0};
-  std::atomic<std::size_t> rounds_in_flight_{0};   // dispatched, undecided
-  std::atomic<std::uint64_t> rounds_dispatched_{0};
-  std::atomic<std::uint64_t> rounds_grouped_{0};   // scan-complete
-  std::atomic<std::size_t> inflight_frames_{0};    // scanned, undecided
-  std::atomic<std::size_t> admitted_rounds_{0};    // scanned, undecided
+  /// Dispatched, unretired rounds; written by the control thread only,
+  /// read by wait_idle().
+  std::atomic<std::size_t> rounds_in_flight_{0};
   AtomicStats stats_;
 
   /// Held for the whole of close(); serializes concurrent closers.
   std::mutex close_mu_;
   bool closed_ = false;
 
-  std::thread front_;
-  std::thread sequencer_;
+  std::thread control_;
 };
 
 }  // namespace sa

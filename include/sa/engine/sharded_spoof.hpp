@@ -29,8 +29,9 @@ class ShardedSpoofDetector {
   /// `idle_expiry_frames` (0 = off) is forwarded to every shard's
   /// detector: a tracker not observed for that many of its shard's
   /// observation ticks is expired via the shard's timing wheel. Shard
-  /// observation order is fixed by the sequencer regardless of worker
-  /// count, so expiry stays deterministic at any thread count.
+  /// observation order is fixed by the session's control thread
+  /// regardless of worker count, so expiry stays deterministic at any
+  /// thread count.
   explicit ShardedSpoofDetector(TrackerConfig tracker_config,
                                 std::size_t num_shards = 8,
                                 std::size_t max_tracked_macs = 0,

@@ -255,13 +255,15 @@ class FleetCoordinator {
   struct Site {
     std::unique_ptr<BuiltDeployment> deployment;
     std::vector<EngineDecision> decisions;
-    /// Serializes wait_idle/export/import/forget on this site's session
-    /// (wait_idle bumps non-atomic session counters, and the fleet hooks
-    /// are quiescent-use-only).
+    /// Serializes export/import/forget, and the wait_idle before them,
+    /// on this site's session: the fleet hooks are quiescent-use-only
+    /// (they reach into per-worker policy state without dataplane
+    /// locks), so two handoffs touching one site must not run them at
+    /// once. wait_idle itself is thread-safe.
     std::unique_ptr<std::mutex> mu;
     /// Declared last: the session's sink writes into `decisions` from
-    /// the sequencer thread, so the session (whose destructor joins
-    /// that thread) must be destroyed first.
+    /// the session's control thread, so the session (whose destructor
+    /// joins that thread) must be destroyed first.
     std::unique_ptr<EngineSession> session;
   };
   struct Home {

@@ -221,6 +221,9 @@ class ReliableLink {
   SendReport send_reliable(const ByteStream& message);
 
   const ReliableLinkStats& stats() const { return stats_; }
+  /// Seqs the receiver role remembers for duplicate suppression: those
+  /// imported since a send last left the channel empty.
+  std::size_t remembered_seqs() const { return seen_seqs_.size(); }
 
  private:
   void on_datagram(const ByteStream& datagram);

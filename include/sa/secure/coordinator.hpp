@@ -102,14 +102,6 @@ class Coordinator {
   /// Quiescent maintenance access (fleet handoff export/import between
   /// frames) — never while process*() may be running.
   PolicyChain& mutable_chain() { return chain_; }
-  /// Aggregation hooks for shard-affine deployments: an aggregator
-  /// coordinator (which never decides frames itself) presents the sum of
-  /// per-worker coordinators' chain counters. Both chains must have been
-  /// built from the same config.
-  void reset_chain_stats() { chain_.reset_stats(); }
-  void add_chain_stats_from(const Coordinator& other) {
-    chain_.add_stats_from(other.chain_);
-  }
   /// True iff the chain contains a SpoofPolicy — i.e. callers feeding
   /// process_prejudged() must supply a spoof observation for decodable
   /// frames.

@@ -168,14 +168,6 @@ class PolicyChain {
   SecurityPolicy& policy_mutable(std::size_t i) { return *policies_[i]; }
   bool contains(std::string_view policy_name) const;
 
-  /// Zero all counters (policy list untouched). With add_stats_from this
-  /// lets an aggregator chain present the sum of per-worker chains.
-  void reset_stats();
-  /// Accumulate another chain's counters into this one. Precondition:
-  /// both chains were built from the same policy list (same names, same
-  /// order); frame totals and per-policy rows add element-wise.
-  void add_stats_from(const PolicyChain& other);
-
  private:
   std::vector<std::unique_ptr<SecurityPolicy>> policies_;
   std::vector<PolicyStats> stats_;

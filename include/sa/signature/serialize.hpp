@@ -13,13 +13,12 @@
 #include <optional>
 #include <vector>
 
+#include "sa/common/bytes.hpp"
 #include "sa/signature/signature.hpp"
 #include "sa/signature/subband.hpp"
 #include "sa/signature/tracker.hpp"
 
 namespace sa {
-
-using ByteStream = std::vector<std::uint8_t>;
 
 /// Serialize a signature (spectrum grid + values + wrap flag) — the
 /// legacy single-band "SAA1" format.

@@ -48,7 +48,6 @@ EngineSession::EngineSession(SessionConfig config,
       spoof_(config_.engine.coordinator.tracker, config_.engine.num_shards,
              config_.engine.coordinator.max_tracked_macs,
              config_.engine.coordinator.spoof_idle_frames),
-      coordinator_(config_.engine.coordinator),
       sink_(std::move(sink)),
       spin_(std::thread::hardware_concurrency() > 1 ? 128 : 0) {
   SA_EXPECTS(!aps_.empty());
@@ -81,8 +80,7 @@ EngineSession::EngineSession(SessionConfig config,
         config_.engine.coordinator));
   }
 
-  front_ = std::thread([this] { frontend_loop(); });
-  sequencer_ = std::thread([this] { sequencer_loop(); });
+  control_ = std::thread([this] { control_loop(); });
   for (std::size_t w = 0; w < n_workers; ++w) {
     workers_[w]->thread = std::thread([this, w] { worker_loop(w); });
   }
@@ -106,8 +104,7 @@ void EngineSession::fail(std::exception_ptr error) {
       failed_.store(true, std::memory_order_release);
     }
   }
-  front_bell_.ring();
-  seq_bell_.ring();
+  control_bell_.ring();
   submit_bell_.ring();
   done_bell_.ring();
   for (auto& wk : workers_) wk->bell.ring();
@@ -188,7 +185,7 @@ void EngineSession::submit(std::size_t ap_index, CMat chunk) {
   SA_EXPECTS(pushed);  // capacity >= max_pending_chunks by construction
   atomic_max(stats_.max_submit_ring_occupancy, lane.ring.size());
   stats_.chunks_submitted.fetch_add(1, std::memory_order_relaxed);
-  front_bell_.ring();
+  control_bell_.ring();
 }
 
 void EngineSession::submit_round(std::vector<CMat> chunks) {
@@ -214,7 +211,7 @@ void EngineSession::drain() {
   }
   const std::uint64_t ticket =
       drains_requested_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  front_bell_.ring();
+  control_bell_.ring();
   done_bell_.wait(
       [&] {
         return failed_.load(std::memory_order_acquire) ||
@@ -247,13 +244,11 @@ void EngineSession::close() {
     drain_error = std::current_exception();
   }
   closing_.store(true, std::memory_order_release);
-  front_bell_.ring();
-  seq_bell_.ring();
+  control_bell_.ring();
   submit_bell_.ring();
   done_bell_.ring();
   for (auto& wk : workers_) wk->bell.ring();
-  if (front_.joinable()) front_.join();
-  if (sequencer_.joinable()) sequencer_.join();
+  if (control_.joinable()) control_.join();
   for (auto& wk : workers_) {
     if (wk->thread.joinable()) wk->thread.join();
   }
@@ -289,22 +284,33 @@ SessionStats EngineSession::session_stats() const {
   return s;
 }
 
-void EngineSession::refresh_chain() const {
-  std::lock_guard<std::mutex> lock(chain_mu_);
-  coordinator_.reset_chain_stats();
-  for (const auto& wk : workers_) {
-    coordinator_.add_chain_stats_from(wk->coordinator);
-  }
-}
-
 Coordinator::Stats EngineSession::stats() const {
-  refresh_chain();
-  return coordinator_.stats();
+  Coordinator::Stats sum;
+  for (const auto& wk : workers_) {
+    const Coordinator::Stats s = wk->coordinator.stats();
+    sum.frames += s.frames;
+    sum.accepted += s.accepted;
+    sum.dropped_fence += s.dropped_fence;
+    sum.dropped_spoof += s.dropped_spoof;
+    sum.dropped_undecodable += s.dropped_undecodable;
+    sum.dropped_policy += s.dropped_policy;
+  }
+  return sum;
 }
 
-const PolicyChain& EngineSession::chain() const {
-  refresh_chain();
-  return coordinator_.chain();
+std::vector<PolicyChain::PolicyStats> EngineSession::policy_stats() const {
+  // Every worker's chain was built from the same config: same rows.
+  std::vector<PolicyChain::PolicyStats> sum =
+      workers_.front()->coordinator.chain().policy_stats();
+  for (std::size_t w = 1; w < workers_.size(); ++w) {
+    const auto& rows = workers_[w]->coordinator.chain().policy_stats();
+    for (std::size_t i = 0; i < sum.size(); ++i) {
+      sum[i].evaluated += rows[i].evaluated;
+      sum[i].accepted += rows[i].accepted;
+      sum[i].dropped += rows[i].dropped;
+    }
+  }
+  return sum;
 }
 
 // ---------------------------------------------------- fleet handoff hooks
@@ -362,113 +368,6 @@ void EngineSession::forget_client(const MacAddress& mac) {
     if (auto* rate = dynamic_cast<RateLimitPolicy*>(&chain.policy_mutable(i))) {
       rate->forget(mac);
     }
-  }
-}
-
-// ----------------------------------------------------------- front-end
-
-void EngineSession::frontend_loop() {
-  const std::size_t n_aps = aps_.size();
-  const std::size_t n_workers = workers_.size();
-  std::uint64_t next_round_id = 0;
-  std::uint64_t drains_issued = 0;
-  try {
-    for (;;) {
-      front_bell_.wait(
-          [&] {
-            if (closing_.load(std::memory_order_acquire) ||
-                failed_.load(std::memory_order_acquire)) {
-              return true;
-            }
-            if (rounds_in_flight_.load(std::memory_order_acquire) >=
-                config_.max_inflight_rounds) {
-              return false;
-            }
-            if (config_.max_inflight_frames > 0) {
-              // Scan-gated dispatch: every in-flight round must have
-              // reported its candidate count (otherwise the budget
-              // can't be checked), and the budget must have room. A
-              // round larger than the whole budget still runs — alone.
-              if (rounds_dispatched_.load(std::memory_order_acquire) !=
-                  rounds_grouped_.load(std::memory_order_acquire)) {
-                return false;
-              }
-              const std::size_t inflight =
-                  inflight_frames_.load(std::memory_order_acquire);
-              if (inflight != 0 && inflight >= config_.max_inflight_frames) {
-                return false;
-              }
-            }
-            return round_formable() ||
-                   drains_issued <
-                       drains_requested_.load(std::memory_order_acquire);
-          },
-          spin_, &stats_.spin_polls, &stats_.parks);
-      if (closing_.load(std::memory_order_acquire) ||
-          failed_.load(std::memory_order_acquire)) {
-        return;
-      }
-
-      // Count the round in flight *before* popping its chunks, so
-      // wait_idle() can never observe empty rings with the round not
-      // yet accounted for.
-      rounds_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-
-      // A complete round off the rings; during a drain, a padded round
-      // for ragged leftovers; then the drain's final flush pass.
-      std::vector<std::optional<CMat>> chunks(n_aps);
-      bool any_chunk = false;
-      const bool drain_pending =
-          drains_issued < drains_requested_.load(std::memory_order_acquire);
-      if (round_formable() || drain_pending) {
-        for (std::size_t i = 0; i < n_aps; ++i) {
-          CMat c;
-          if (lanes_[i]->ring.try_pop(c)) {
-            chunks[i] = std::move(c);
-            any_chunk = true;
-          }
-        }
-      }
-      bool final_pass = false;
-      std::uint64_t drain_tag = 0;
-      if (!any_chunk) {
-        // Rings are empty and a drain is pending: this round is its
-        // final flush pass.
-        final_pass = true;
-        drain_tag = ++drains_issued;
-      }
-      submit_bell_.ring();
-
-      const std::uint64_t id = ++next_round_id;
-      const std::uint64_t dispatched =
-          rounds_dispatched_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      atomic_max(stats_.max_overlapped_rounds,
-                 dispatched - rounds_grouped_.load(std::memory_order_acquire));
-
-      for (std::size_t i = 0; i < n_aps; ++i) {
-        Worker& wk = *workers_[i % n_workers];
-        ApJob job;
-        job.round = id;
-        job.ap = i;
-        job.chunk = std::move(chunks[i]);
-        job.final_pass = final_pass;
-        job.drain_tag = drain_tag;
-        // The work ring is sized for max_inflight_rounds, so this never
-        // blocks in practice; the loop is a correctness backstop.
-        while (!wk.work.try_push(std::move(job))) {
-          wk.bell.ring();
-          std::this_thread::yield();
-        }
-      }
-      // One doorbell per dispatched round, not per ApJob: ringing a
-      // parked worker takes its mutex, so per-job rings force needless
-      // wakeup churn when several of the round's APs share a worker.
-      for (std::size_t w = 0; w < n_workers && w < n_aps; ++w) {
-        workers_[w]->bell.ring();
-      }
-    }
-  } catch (...) {
-    fail(std::current_exception());
   }
 }
 
@@ -582,7 +481,7 @@ void EngineSession::process_decide_job(Worker& wk, DecideJob job) {
   // sequence order, judged against state no other thread touches.
   std::optional<SpoofObservation> so;
   const ApObservation& best = Coordinator::best_observation(job.observations);
-  if (coordinator_.wants_spoof() && best.packet.frame) {
+  if (wk.coordinator.wants_spoof() && best.packet.frame) {
     so = spoof_.observe(best.packet.frame->addr2, best.packet.subband);
   }
   Completion done;
@@ -597,19 +496,18 @@ void EngineSession::process_decide_job(Worker& wk, DecideJob job) {
 
 void EngineSession::push_completion(Worker& wk, Completion c) {
   while (!wk.done.try_push(std::move(c))) {
-    // Ring full: the sequencer drains eagerly, so just prod it and
-    // retry. The sequencer never blocks on this worker, so this cannot
-    // deadlock.
-    seq_bell_.ring();
+    // Ring full: the control thread drains eagerly, so just prod it and
+    // retry. It never blocks on this worker, so this cannot deadlock.
+    control_bell_.ring();
     std::this_thread::yield();
     if (failed_.load(std::memory_order_acquire)) return;
   }
-  seq_bell_.ring();
+  control_bell_.ring();
 }
 
-// ------------------------------------------------------------ sequencer
+// ---------------------------------------------------------- control loop
 
-void EngineSession::sequencer_loop() {
+void EngineSession::control_loop() {
   const std::size_t n_aps = aps_.size();
   const std::size_t n_workers = workers_.size();
 
@@ -641,51 +539,56 @@ void EngineSession::sequencer_loop() {
   std::size_t next_emit = 0;
   std::size_t next_sequence = 0;
   std::vector<Completion> batch;
+  // The round budget, owned by this thread: rounds dispatched so far
+  // (the last round id), dispatched-but-unretired rounds, and the
+  // candidates of grouped-but-unretired rounds.
+  std::uint64_t rounds_dispatched = 0;
+  std::size_t in_flight = 0;
+  std::size_t inflight_frames = 0;
+  std::uint64_t drains_issued = 0;
 
+  const auto stopping = [&] {
+    return closing_.load(std::memory_order_acquire) ||
+           failed_.load(std::memory_order_acquire);
+  };
   const auto drain_done_rings = [&] {
     for (auto& wk : workers_) {
       wk->done.pop_batch(batch, wk->done.capacity());
     }
   };
-
-  const auto dispatch_decide = [&](std::size_t w, DecideJob job) {
-    Worker& wk = *workers_[w];
-    while (!wk.decide.try_push(std::move(job))) {
-      // The target worker may itself be blocked pushing completions:
-      // keep draining done rings (into `batch`, handled next pass) so
-      // the cycle always makes progress.
+  // The target worker may itself be blocked pushing completions: while
+  // its ring is full, keep draining done rings (into `batch`, handled
+  // next pass) so the cycle always makes progress.
+  const auto push_job = [&](auto& ring, Worker& wk, auto job) {
+    while (!ring.try_push(std::move(job))) {
       wk.bell.ring();
       drain_done_rings();
       std::this_thread::yield();
-      if (failed_.load(std::memory_order_acquire) ||
-          closing_.load(std::memory_order_acquire)) {
-        return;
-      }
+      if (stopping()) return;
     }
-    wk.bell.ring();
+  };
+  const auto can_dispatch = [&] {
+    return in_flight < config_.max_inflight_rounds &&
+           (round_formable() ||
+            drains_issued < drains_requested_.load(std::memory_order_acquire));
   };
 
   try {
     for (;;) {
       if (batch.empty()) {
-        seq_bell_.wait(
+        control_bell_.wait(
             [&] {
-              if (closing_.load(std::memory_order_acquire) ||
-                  failed_.load(std::memory_order_acquire)) {
-                return true;
-              }
+              if (stopping()) return true;
               for (const auto& wk : workers_) {
                 if (!wk->done.empty()) return true;
               }
-              return false;
+              return can_dispatch();
             },
             spin_, &stats_.spin_polls, &stats_.parks);
-        if (closing_.load(std::memory_order_acquire) ||
-            failed_.load(std::memory_order_acquire)) {
-          return;
-        }
       }
+      if (stopping()) return;
 
+      // ---- 1. Drain the workers' done rings.
       drain_done_rings();
       for (Completion& c : batch) {
         if (c.kind == Completion::Kind::kApDone) {
@@ -710,7 +613,7 @@ void EngineSession::sequencer_loop() {
       }
       batch.clear();
 
-      // ---- Group scan-complete rounds, strictly in round order, and
+      // ---- 2. Group scan-complete rounds, strictly in round order, and
       // route each fused frame to the worker owning its MAC shard.
       for (;;) {
         auto it = collecting.find(next_round_to_group);
@@ -718,14 +621,8 @@ void EngineSession::sequencer_loop() {
         RoundAgg agg = std::move(it->second);
         collecting.erase(it);
 
-        const std::size_t inflight =
-            inflight_frames_.fetch_add(agg.candidates,
-                                       std::memory_order_acq_rel) +
-            agg.candidates;
-        atomic_max(stats_.max_inflight_frames, inflight);
-        const std::size_t admitted =
-            admitted_rounds_.fetch_add(1, std::memory_order_acq_rel) + 1;
-        atomic_max(stats_.max_admitted_rounds, admitted);
+        inflight_frames += agg.candidates;
+        atomic_max(stats_.max_inflight_frames, inflight_frames);
         stats_.stale_retries.fetch_add(agg.retries,
                                        std::memory_order_relaxed);
         stats_.stale_skips.fetch_add(agg.skips, std::memory_order_relaxed);
@@ -742,6 +639,7 @@ void EngineSession::sequencer_loop() {
         r.drain_tag = agg.drain_tag;
         r.had_chunk = agg.had_chunk;
         open.push_back(r);
+        atomic_max(stats_.max_admitted_rounds, open.size());
 
         for (FrameGroup& g : groups) {
           const std::size_t seq = next_sequence++;
@@ -756,15 +654,14 @@ void EngineSession::sequencer_loop() {
           job.sequence = seq;
           job.absolute_start = g.absolute_start;
           job.observations = std::move(g.observations);
-          dispatch_decide(w, std::move(job));
+          Worker& wk = *workers_[w];
+          push_job(wk.decide, wk, std::move(job));
+          wk.bell.ring();
         }
-
-        rounds_grouped_.fetch_add(1, std::memory_order_release);
-        front_bell_.ring();  // budget gate inputs changed
         ++next_round_to_group;
       }
 
-      // ---- Emit finished decisions, strictly in sequence order.
+      // ---- 3. Emit finished decisions, strictly in sequence order.
       while (!ready.empty() && ready.begin()->first == next_emit) {
         Completion& c = ready.begin()->second;
         EngineDecision d;
@@ -787,7 +684,7 @@ void EngineSession::sequencer_loop() {
         ++next_emit;
       }
 
-      // ---- Retire rounds from the front, in round order, once all
+      // ---- 4. Retire rounds from the front, in round order, once all
       // their decisions are out: release budget, signal drains. In-order
       // retirement guarantees a drain ticket only completes after every
       // earlier round's decisions were emitted.
@@ -795,8 +692,7 @@ void EngineSession::sequencer_loop() {
              next_emit >= open.front().first_sequence + open.front().expected) {
         const OpenRound r = open.front();
         open.pop_front();
-        inflight_frames_.fetch_sub(r.candidates, std::memory_order_acq_rel);
-        admitted_rounds_.fetch_sub(1, std::memory_order_acq_rel);
+        inflight_frames -= r.candidates;
         stats_.rounds_completed.fetch_add(1, std::memory_order_release);
         if (r.had_chunk) {
           stats_.rounds_retired.fetch_add(1, std::memory_order_release);
@@ -808,9 +704,61 @@ void EngineSession::sequencer_loop() {
           drains_completed_.store(std::max(cur, r.drain_tag),
                                   std::memory_order_release);
         }
-        rounds_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-        front_bell_.ring();
+        rounds_in_flight_.store(--in_flight, std::memory_order_release);
         done_bell_.ring();
+      }
+
+      // ---- 5. Form and dispatch every round the budget admits — last,
+      // so budget retired above is reused without another wake-up: a
+      // complete round off the rings; during a drain, a padded round for
+      // ragged leftovers; then the drain's final flush pass.
+      while (can_dispatch()) {
+        // Count the round in flight *before* popping its chunks, so
+        // wait_idle() can never observe empty rings with the round not
+        // yet accounted for.
+        rounds_in_flight_.store(++in_flight, std::memory_order_release);
+
+        std::vector<std::optional<CMat>> chunks(n_aps);
+        bool any_chunk = false;
+        for (std::size_t i = 0; i < n_aps; ++i) {
+          CMat c;
+          if (lanes_[i]->ring.try_pop(c)) {
+            chunks[i] = std::move(c);
+            any_chunk = true;
+          }
+        }
+        bool final_pass = false;
+        std::uint64_t drain_tag = 0;
+        if (!any_chunk) {
+          // Rings are empty and a drain is pending: this round is its
+          // final flush pass.
+          final_pass = true;
+          drain_tag = ++drains_issued;
+        }
+        submit_bell_.ring();
+
+        const std::uint64_t id = ++rounds_dispatched;
+        atomic_max(stats_.max_overlapped_rounds,
+                   id - (next_round_to_group - 1));
+
+        for (std::size_t i = 0; i < n_aps; ++i) {
+          Worker& wk = *workers_[i % n_workers];
+          ApJob job;
+          job.round = id;
+          job.ap = i;
+          job.chunk = std::move(chunks[i]);
+          job.final_pass = final_pass;
+          job.drain_tag = drain_tag;
+          // The work ring is sized for max_inflight_rounds, so this
+          // never waits in practice; push_job is a correctness backstop.
+          push_job(wk.work, wk, std::move(job));
+        }
+        // One doorbell per dispatched round, not per ApJob: ringing a
+        // parked worker takes its mutex, so per-job rings force needless
+        // wakeup churn when several of the round's APs share a worker.
+        for (std::size_t w = 0; w < n_workers && w < n_aps; ++w) {
+          workers_[w]->bell.ring();
+        }
       }
     }
   } catch (...) {

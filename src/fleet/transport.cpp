@@ -296,6 +296,9 @@ ReliableLink::SendReport ReliableLink::send_reliable(
   if (!report.acked) ++stats_.timeouts;
   awaiting_seq_.reset();
   awaiting_acked_ = false;
+  // With nothing left in the channel, no seq sent so far can arrive
+  // again.
+  if (transport_.pending() == 0) seen_seqs_.clear();
   return report;
 }
 

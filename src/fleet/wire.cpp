@@ -24,15 +24,6 @@ constexpr std::uint32_t kFlagDuplicateAck = 1u << 0;
 /// An inner message can be at most a tracker block plus framing slack.
 constexpr std::size_t kMaxInnerMessage = (std::size_t{1} << 26) + 4096;
 
-std::uint32_t fnv1a32(const std::uint8_t* data, std::size_t len) {
-  std::uint32_t h = 0x811c9dc5u;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x01000193u;
-  }
-  return h;
-}
-
 ByteStream frame(FleetWireType type, const ByteStream& payload) {
   ByteStream out;
   put_u32(out, kFleetWireMagic);

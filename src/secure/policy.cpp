@@ -84,28 +84,6 @@ std::size_t PolicyChain::drops(std::string_view policy_name) const {
   return 0;
 }
 
-void PolicyChain::reset_stats() {
-  frames_ = 0;
-  accepted_ = 0;
-  for (auto& s : stats_) {
-    s.evaluated = 0;
-    s.accepted = 0;
-    s.dropped = 0;
-  }
-}
-
-void PolicyChain::add_stats_from(const PolicyChain& other) {
-  SA_EXPECTS(other.stats_.size() == stats_.size());
-  frames_ += other.frames_;
-  accepted_ += other.accepted_;
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    SA_EXPECTS(other.stats_[i].name == stats_[i].name);
-    stats_[i].evaluated += other.stats_[i].evaluated;
-    stats_[i].accepted += other.stats_[i].accepted;
-    stats_[i].dropped += other.stats_[i].dropped;
-  }
-}
-
 bool PolicyChain::contains(std::string_view policy_name) const {
   return std::any_of(stats_.begin(), stats_.end(), [&](const PolicyStats& s) {
     return s.name == policy_name;

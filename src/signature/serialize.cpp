@@ -1,7 +1,6 @@
 #include "sa/signature/serialize.hpp"
 
 #include <cmath>
-#include <cstring>
 
 #include "sa/common/error.hpp"
 
@@ -13,66 +12,6 @@ constexpr std::uint32_t kMagic = 0x53414131;   // "SAA1": one band
 constexpr std::uint32_t kMagic2 = 0x53414132;  // "SAA2": subband container
 constexpr std::uint32_t kMagicT = 0x53415431;  // "SAT1": tracker state
 constexpr std::uint32_t kMaxBands = 1024;
-
-void put_u32(ByteStream& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(ByteStream& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_f64(ByteStream& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((bits >> (8 * i)) & 0xFF));
-  }
-}
-
-class Reader {
- public:
-  explicit Reader(const ByteStream& data) : data_(data) {}
-
-  std::optional<std::uint32_t> u32() {
-    if (at_ + 4 > data_.size()) return std::nullopt;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[at_ + i]) << (8 * i);
-    }
-    at_ += 4;
-    return v;
-  }
-
-  std::optional<std::uint64_t> u64() {
-    if (at_ + 8 > data_.size()) return std::nullopt;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[at_ + i]) << (8 * i);
-    }
-    at_ += 8;
-    return v;
-  }
-
-  std::optional<double> f64() {
-    const auto bits = u64();
-    if (!bits) return std::nullopt;
-    double v;
-    std::memcpy(&v, &*bits, sizeof(v));
-    return v;
-  }
-
-  bool done() const { return at_ == data_.size(); }
-
- private:
-  const ByteStream& data_;
-  std::size_t at_ = 0;
-};
 
 /// One band's body: wrap flag, grid size, grid start + step, values —
 /// exactly the legacy payload after the magic.
@@ -86,7 +25,7 @@ void put_band(ByteStream& out, const AoaSignature& sig) {
   for (double v : spec.values()) put_f64(out, v);
 }
 
-std::optional<AoaSignature> read_band(Reader& r) {
+std::optional<AoaSignature> read_band(ByteReader& r) {
   const auto wraps = r.u32();
   const auto n = r.u32();
   if (!wraps || !n || *n < 2 || *n > 1u << 20) return std::nullopt;
@@ -121,7 +60,7 @@ ByteStream serialize_signature(const AoaSignature& sig) {
 }
 
 std::optional<AoaSignature> deserialize_signature(const ByteStream& data) {
-  Reader r(data);
+  ByteReader r(data);
   const auto magic = r.u32();
   if (!magic || *magic != kMagic) return std::nullopt;
   auto band = read_band(r);
@@ -141,7 +80,7 @@ ByteStream serialize_signature(const SubbandSignature& sig) {
 
 std::optional<SubbandSignature> deserialize_subband_signature(
     const ByteStream& data) {
-  Reader r(data);
+  ByteReader r(data);
   const auto magic = r.u32();
   if (!magic) return std::nullopt;
   if (*magic == kMagic) {
@@ -192,7 +131,7 @@ ByteStream serialize_tracker_snapshot(const TrackerSnapshot& snap) {
 
 std::optional<TrackerSnapshot> deserialize_tracker_snapshot(
     const ByteStream& data) {
-  Reader r(data);
+  ByteReader r(data);
   const auto magic = r.u32();
   if (!magic || *magic != kMagicT) return std::nullopt;
   const auto flags = r.u32();

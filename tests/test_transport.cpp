@@ -338,6 +338,43 @@ TEST(ReliableLink, StaleAckAfterColdStartIsIgnored) {
   EXPECT_EQ(l.link.stats().timeouts, 1u);
 }
 
+// A fleet hands off on every migration, so the receiver must not keep
+// every seq it ever saw — only those a copy still in the channel could
+// bring back, which duplicate suppression still needs.
+TEST(ReliableLink, RemembersOnlySeqsThatCanStillArrive) {
+  {
+    LoopbackTransport channel;
+    ReliableLink link(channel, ReliableLinkConfig{});
+    std::size_t imported = 0;
+    link.set_import([&](const ByteStream&) { ++imported; });
+    const ByteStream msg = sample_message();
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_TRUE(link.send_reliable(msg).acked);
+    }
+    EXPECT_EQ(imported, 10000u);
+    EXPECT_LE(link.remembered_seqs(), 1u);
+  }
+
+  // The first attempt is delayed past the retransmit that delivers it,
+  // so it is still in the channel when both sends below return.
+  FaultPlan plan;
+  plan.schedule[0] = FaultKind::kDelay;
+  plan.delay_ticks = 40;
+  LossyLink l{plan};
+  const ByteStream first = sample_message();
+  ASSERT_TRUE(l.link.send_reliable(first).acked);
+  ASSERT_GT(l.channel.pending(), 0u);
+  EXPECT_EQ(l.link.remembered_seqs(), 1u);
+  ASSERT_TRUE(l.link.send_reliable(first).acked);
+  std::size_t guard = 0;
+  while (l.channel.pending() > 0 && guard++ < 64) l.channel.tick();
+  EXPECT_EQ(l.imported.size(), 2u);  // the late copy is suppressed
+  EXPECT_EQ(l.link.stats().duplicates_suppressed, 1u);
+  // Once a send leaves the channel empty, nothing is remembered.
+  ASSERT_TRUE(l.link.send_reliable(first).acked);
+  EXPECT_EQ(l.link.remembered_seqs(), 0u);
+}
+
 // ------------------------------------------- envelope total decode
 
 TEST(TransportWire, DataAndAckRoundTrip) {

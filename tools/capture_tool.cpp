@@ -348,18 +348,6 @@ int cmd_replay(const std::string& path, std::size_t threads,
   return 0;
 }
 
-/// FNV-1a-32 over a byte range — the kTransportData payload checksum
-/// (part of the wire contract, so the hostile-frame builder below can
-/// produce envelopes the decoder has no framing excuse to reject).
-std::uint32_t wire_fnv1a32(const std::uint8_t* data, std::size_t len) {
-  std::uint32_t h = 0x811c9dc5u;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x01000193u;
-  }
-  return h;
-}
-
 /// A raw SAFW frame with a caller-controlled payload — the hostile
 /// framing builder the real encoders refuse to be.
 ByteStream raw_frame(std::uint32_t type, const ByteStream& payload) {
@@ -382,7 +370,7 @@ ByteStream hostile_envelope(std::uint64_t seq, std::uint32_t flags,
   put_u32(payload, flags);
   put_u32(payload, static_cast<std::uint32_t>(inner.size()));
   payload.insert(payload.end(), inner.begin(), inner.end());
-  put_u32(payload, wire_fnv1a32(payload.data(), payload.size()));
+  put_u32(payload, fnv1a32(payload.data(), payload.size()));
   return raw_frame(static_cast<std::uint32_t>(FleetWireType::kTransportData),
                    payload);
 }
@@ -552,7 +540,7 @@ int cmd_fuzz_wire(std::uint64_t seed, std::size_t count, std::size_t ops) {
     put_u32(p, 0);
     put_u32(p, static_cast<std::uint32_t>(original.size() + 1));  // lies
     p.insert(p.end(), original.begin(), original.end());
-    put_u32(p, wire_fnv1a32(p.data(), p.size()));
+    put_u32(p, fnv1a32(p.data(), p.size()));
     expect_reject_data(
         "envelope-inner-len-mismatch",
         raw_frame(static_cast<std::uint32_t>(FleetWireType::kTransportData),

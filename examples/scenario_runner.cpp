@@ -502,7 +502,7 @@ int main(int argc, char** argv) {
     std::printf(
         "pipeline: %zu rounds (%zu data rounds retired), %zu decisions "
         "emitted, max %zu rounds overlapped in the dataplane, %zu candidate "
-        "frames in flight at peak, %zu deferred retries\n",
+        "frames in the largest round, %zu deferred retries\n",
         ss.rounds_completed, ss.rounds_retired, ss.decisions_emitted,
         ss.max_overlapped_rounds, ss.max_inflight_frames, ss.stale_retries);
     std::printf(

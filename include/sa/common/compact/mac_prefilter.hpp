@@ -15,7 +15,7 @@
 //    structure's live keys. Between epochs the filter is a superset of
 //    the live key set; at an epoch boundary it is exact.
 //
-// Not thread safe; owned per worker like the maps it fronts.
+// Not thread safe; single-owner like the maps it fronts.
 #pragma once
 
 #include <cstddef>

@@ -11,12 +11,12 @@
 //
 // advance(to, fire) fires every event with deadline <= to, in
 // non-decreasing deadline order, then sets now() = to. The consumer
-// drives it from its own decision stream (the engine's shard-affine
-// workers pass the global frame sequence), so expiry is deterministic
-// at any thread count: a shard sees its frames in the same order with
+// drives it from its own decision stream (the engine's control thread
+// passes the global frame sequence), so expiry is deterministic at any
+// thread count: the consumer sees its frames in the same order with
 // the same indices no matter how many workers exist.
 //
-// Not thread safe; owned per worker.
+// Not thread safe; each wheel has a single owner.
 #pragma once
 
 #include <array>

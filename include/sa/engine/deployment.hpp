@@ -13,9 +13,9 @@
 //     -> StreamingReceiver::commit      (per AP, same worker)
 //     -> group_frame_observations       (the control thread, in round
 //                                        order)
-//     -> spoof observe + policy chain   (the worker owning the frame's
-//                                        MAC shard, in sequence order)
-//     -> re-sequenced EngineDecision stream
+//     -> spoof observe + policy chain   (the control thread, same pass,
+//                                        in sequence order)
+//     -> EngineDecision stream
 //
 // Determinism: the emitted FrameDecision sequence is identical at any
 // thread count — and identical to feeding the same chunk streams through
@@ -79,7 +79,7 @@ std::vector<FrameGroup> group_frame_observations(
     std::vector<std::vector<StreamingReceiver::StreamPacket>> per_ap_packets,
     const std::vector<Vec2>& ap_positions, std::size_t slack_samples);
 
-/// One decision in the engine's re-sequenced output stream.
+/// One decision in the engine's output stream, in sequence order.
 struct EngineDecision {
   std::size_t sequence = 0;        ///< global frame index, monotonically increasing
   std::size_t absolute_start = 0;  ///< earliest detection sample across APs

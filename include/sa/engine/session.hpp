@@ -1,12 +1,11 @@
 // EngineSession: the engine's push-based API, a lock-free SPSC-ring
 // dataplane. It is built DPDK-style out of single-producer/
-// single-consumer rings (sa/common/spsc_ring.hpp) and shard-affine
+// single-consumer rings (sa/common/spsc_ring.hpp) and AP-affine
 // run-to-completion workers, coordinated by one control thread:
 //
 //   submitters --- per-AP SPSC ring ---> control (forms rounds)
 //   control    --- per-worker work ring ---> workers (run-to-completion)
-//   control    --- per-worker decide ring ---> workers
-//   workers    --- per-worker done ring ---> control (re-sequencer)
+//   workers    --- per-worker done ring ---> control (decides, emits)
 //
 // Every ring has exactly one producer and one consumer, so the hot path
 // is wait-free: no producer lock, no condvar, no shared queue. Blocking
@@ -14,33 +13,23 @@
 // (after ndn-dpdk's rxloop). A session with W workers runs W + 1
 // threads.
 //
-// Shard affinity is the invariant that makes this deterministic:
+// Two ownership rules make this deterministic:
 //  - worker w owns APs {i : i mod W == w} — each AP's StreamingReceiver
 //    is touched by exactly one thread, which runs scan -> decode ->
 //    commit to completion in round order. No stream mutex exists. The
-//    lock-step per-receiver schedule (commit N before scan N+1) is one
-//    of the schedules StreamingReceiver documents as byte-identical.
-//  - worker w owns MAC shards {s : s mod W == w} — a frame's spoof
-//    observation and policy decision run on the worker owning
-//    shard_of(source MAC), and the control thread dispatches decide
-//    jobs in global sequence order into per-worker FIFO rings, so every
-//    MAC's tracker and rate-limit state advances in exactly the serial
-//    order. (Frames with no decodable MAC round-robin by sequence
-//    number; they touch no per-MAC state.)
-//
-// The control thread is the only thread that sees rounds whole. Each
-// time it wakes it drains the workers' done rings, groups scan-complete
-// rounds strictly in round order (assigning global sequence numbers and
-// routing decide jobs by MAC shard), emits finished decisions to the
-// sink strictly in sequence order, retires finished rounds, and then
-// forms and dispatches every round the budget admits — so the output is
-// byte-identical to the serial pipeline at any worker count.
-//
-// Known divergence (documented, matches the pre-existing sharded-spoof
-// caveat): RateLimitPolicy's cross-MAC LRU eviction is partitioned per
-// worker here, so *when the max_tracked_macs bound actually binds*,
-// eviction choices can differ from a serial chain's global LRU. Per-MAC
-// windows, and hence decisions while the bound is slack, are exact.
+//    per-receiver schedule (commit N before scan N+1) is the lock-step
+//    one StreamingReceiver's push() runs.
+//  - the control thread owns all per-MAC decision state: the session's
+//    one Coordinator (policy chain, ACL, rate windows) and the calls
+//    into the ShardedSpoofDetector. It is the only thread that sees
+//    rounds whole. Each time it wakes it drains the workers' done rings,
+//    then takes every scan-complete round strictly in round order
+//    through one pass — group the round's frames, number them, run the
+//    spoof observation and the policy chain on each, hand each decision
+//    to the sink, retire the round — and then forms and dispatches every
+//    round the budget admits. So the decision stream is the serial
+//    chain's at any worker count, whether or not a max_tracked_macs
+//    bound binds.
 //
 // Backpressure: `max_inflight_rounds` bounds dispatched-but-undecided
 // rounds; submit() blocks while that AP's ring holds max_pending_chunks
@@ -51,11 +40,12 @@
 // session stays usable. close() drains and stops the threads; the
 // destructor closes.
 //
-// Schedules: pushing rounds without waiting pipelines them (round N+1's
-// scan overlaps round N's decisions). A caller that owns the round
-// cadence runs lock-step instead — submit_round(r); wait_idle(); per
-// round, then drain() — and gets each round's decisions before it
-// submits the next. Both emit the same decision stream.
+// Schedules: pushing rounds without waiting pipelines them (the workers
+// scan round N+1 while the control thread decides round N). A caller
+// that owns the round cadence runs lock-step instead — submit_round(r);
+// wait_idle(); per round, then drain() — and gets each round's
+// decisions before it submits the next. Both emit the same decision
+// stream.
 #pragma once
 
 #include <atomic>
@@ -107,11 +97,15 @@ struct SessionStats {
   std::size_t decisions_emitted = 0;
   /// Deferred-retry candidates re-decoded after the preceding commit.
   std::size_t stale_retries = 0;
-  /// Scan-ahead candidates an earlier commit had already emitted.
+  /// Always 0: a worker commits each round before it scans the next, and
+  /// scan() already drops every candidate an earlier commit emitted.
   std::size_t stale_skips = 0;
-  /// High-water mark of candidates scanned but not yet decided.
+  /// High-water mark of candidates scanned but not yet decided: the
+  /// largest round's candidate count, since a round is decided in the
+  /// pass that groups it.
   std::size_t max_inflight_frames = 0;
-  /// High-water mark of rounds concurrently scanned-but-undecided.
+  /// High-water mark of rounds concurrently scanned-but-undecided: at
+  /// most 1, for the same reason.
   std::size_t max_admitted_rounds = 0;
   /// High-water mark of rounds concurrently dispatched-but-unscanned
   /// (>= 2 proves round boundaries were actually overlapped).
@@ -122,7 +116,7 @@ struct SessionStats {
   std::size_t submit_ring_full_blocks = 0;
   /// High-water mark of any submit ring's occupancy.
   std::size_t max_submit_ring_occupancy = 0;
-  /// Worker wake-ups that found work, and the jobs they drained; the
+  /// Worker wake-ups that found work, and the AP jobs they drained; the
   /// mean jobs/burst is the dataplane's batching factor.
   std::size_t worker_bursts = 0;
   std::size_t worker_jobs = 0;
@@ -193,7 +187,8 @@ class EngineSession {
   // --- fleet-handoff hooks --------------------------------------------
   // Quiescent-use-only contract: call these only when the pipeline is
   // idle (after drain()/wait_idle(), with no concurrent submit()); they
-  // reach into per-worker policy state without dataplane locks.
+  // reach into the control thread's policy state without dataplane
+  // locks.
 
   /// Copy out everything this session knows about `mac` (tracker
   /// accumulators, ACL verdict, rate residue). The rate window is first
@@ -202,9 +197,8 @@ class EngineSession {
   /// count.
   ClientHandoffState export_client_state(const MacAddress& mac);
 
-  /// Install a handed-off client's state: tracker and rate residue go
-  /// to the worker owning the MAC's shard; an ACL verdict is applied to
-  /// every worker's chain (they mirror one allow list).
+  /// Install a handed-off client's state: tracker, ACL verdict and rate
+  /// residue.
   void import_client_state(const MacAddress& mac,
                            const ClientHandoffState& state);
 
@@ -216,11 +210,11 @@ class EngineSession {
   std::size_t num_aps() const { return aps_.size(); }
   std::size_t num_threads() const { return workers_.size(); }
   const SessionConfig& config() const { return config_; }
-  // Policy-chain counters, summed over the per-worker chains into a
-  // fresh value on each call, so any number of threads may read them at
-  // once. The workers write these counters unsynchronized: read them
-  // while the pipeline is quiescent (after drain()/wait_idle(), with no
-  // concurrent submit()).
+  // Policy-chain counters, copied into a fresh value on each call, so
+  // any number of threads may read them at once. The control thread
+  // writes these counters unsynchronized: read them while the pipeline
+  // is quiescent (after drain()/wait_idle(), with no concurrent
+  // submit()).
 
   /// The legacy aggregate view.
   Coordinator::Stats stats() const;
@@ -238,44 +232,25 @@ class EngineSession {
     bool final_pass = false;
     std::uint64_t drain_tag = 0;
   };
-  /// One fused frame, dispatched control -> MAC-shard-owning worker.
-  struct DecideJob {
-    std::uint64_t round = 0;
-    std::size_t sequence = 0;
-    std::size_t absolute_start = 0;
-    std::vector<ApObservation> observations;
-  };
-  /// Worker -> control completion (one ring carries both kinds so the
-  /// control thread observes each worker's progress in order).
+  /// One AP's share of one round, committed: worker -> control.
   struct Completion {
-    enum class Kind { kApDone, kDecision } kind = Kind::kApDone;
     std::uint64_t round = 0;
-    // kApDone:
     std::size_t ap = 0;
     std::vector<StreamingReceiver::StreamPacket> packets;
     std::size_t candidates = 0;
     std::size_t retries = 0;
-    std::size_t skips = 0;
     std::uint64_t drain_tag = 0;
     bool had_chunk = false;  ///< this AP consumed a real chunk this round
-    // kDecision:
-    std::size_t sequence = 0;
-    std::size_t absolute_start = 0;
-    FrameDecision decision;
   };
 
+  /// Both rings hold only jobs and completions of dispatched, unretired
+  /// rounds, so a capacity of max_inflight_rounds x (APs per worker)
+  /// means neither ever fills.
   struct Worker {
-    Worker(std::size_t work_cap, std::size_t decide_cap, std::size_t done_cap,
-           const CoordinatorConfig& coordinator_config)
-        : work(work_cap),
-          decide(decide_cap),
-          done(done_cap),
-          coordinator(coordinator_config) {}
-    SpscRing<ApJob> work;        // producer: control thread
-    SpscRing<DecideJob> decide;  // producer: control thread
-    SpscRing<Completion> done;   // consumer: control thread
-    Doorbell bell;               // control thread -> this worker
-    Coordinator coordinator;  ///< owns this worker's policy-chain state
+    explicit Worker(std::size_t ring_cap) : work(ring_cap), done(ring_cap) {}
+    SpscRing<ApJob> work;       // producer: control thread
+    SpscRing<Completion> done;  // consumer: control thread
+    Doorbell bell;              // control thread -> this worker
     AccessPoint::FrameScratch scratch;
     std::thread thread;
   };
@@ -301,7 +276,6 @@ class EngineSession {
     std::atomic<std::size_t> rounds_retired{0};
     std::atomic<std::size_t> decisions_emitted{0};
     std::atomic<std::size_t> stale_retries{0};
-    std::atomic<std::size_t> stale_skips{0};
     std::atomic<std::size_t> max_inflight_frames{0};
     std::atomic<std::size_t> max_admitted_rounds{0};
     std::atomic<std::size_t> max_overlapped_rounds{0};
@@ -318,8 +292,9 @@ class EngineSession {
   void control_loop();
   void worker_loop(std::size_t w);
   void process_ap_job(Worker& wk, ApJob job);
-  void process_decide_job(Worker& wk, DecideJob job);
-  void push_completion(Worker& wk, Completion c);
+  /// Run the spoof observation and the policy chain on one grouped
+  /// frame, then record and emit the decision (control thread).
+  void decide(std::size_t sequence, const FrameGroup& group);
   void fail(std::exception_ptr error);
   void throw_if_failed() const;
   bool round_formable() const;
@@ -331,6 +306,8 @@ class EngineSession {
   std::vector<std::unique_ptr<SubmitLane>> lanes_;
   std::vector<std::unique_ptr<Worker>> workers_;
   ShardedSpoofDetector spoof_;
+  /// The one policy chain; only the control thread runs it.
+  Coordinator coordinator_;
   DecisionSink sink_;
   /// Busy-poll iterations before a dataplane thread parks on its
   /// doorbell: 0 on a single hardware thread, where spinning can only

@@ -1,10 +1,10 @@
 // Per-MAC tracker state sharded by MAC hash. Each shard owns an
 // independent SpoofDetector behind its own mutex, and a MAC always maps
 // to the same shard, so every client's signature history evolves
-// strictly in frame order. The session's shard-affine workers each
-// observe only their own shards; the mutexes are for the control-plane
-// calls (stats(), export_tracker(), import_tracker(), forget()) that
-// may run on another thread.
+// strictly in frame order. The session's control thread makes every
+// observe() call, in frame order; the mutexes are for the calls that
+// may run on another thread (stats(), and the fleet hooks'
+// export_tracker(), import_tracker() and forget()).
 #pragma once
 
 #include <memory>
@@ -24,8 +24,9 @@ class ShardedSpoofDetector {
   /// independently, so once the bound is actually binding, *which* MAC
   /// is evicted depends on the MAC-hash sharding — decisions can then
   /// diverge from a serial SpoofDetector with the same global bound.
-  /// The engine's decision-equivalence guarantee assumes the bound is
-  /// not hit (or is 0, the default).
+  /// Equivalence with a plain Coordinator therefore assumes the bound
+  /// is not hit (or is 0, the default); the session's decisions are the
+  /// same at any worker count either way.
   /// `idle_expiry_frames` (0 = off) is forwarded to every shard's
   /// detector: a tracker not observed for that many of its shard's
   /// observation ticks is expired via the shard's timing wheel. Shard
@@ -38,7 +39,6 @@ class ShardedSpoofDetector {
                                 std::size_t idle_expiry_frames = 0);
 
   std::size_t num_shards() const { return shards_.size(); }
-  std::size_t shard_of(const MacAddress& source) const;
 
   /// Feed one (MAC, signature) pair; locks only the owning shard. The
   /// tracker comparison is subband-wise, like SpoofDetector's.
@@ -63,6 +63,8 @@ class ShardedSpoofDetector {
   SpoofDetectorStats stats() const;
 
  private:
+  std::size_t shard_of(const MacAddress& source) const;
+
   struct Shard {
     Shard(const TrackerConfig& cfg, std::size_t max_tracked,
           std::size_t idle_expiry_frames)

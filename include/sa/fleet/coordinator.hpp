@@ -47,7 +47,7 @@
 // accumulated from live frames.
 //
 // Quiescence and concurrency: handoff import/export reaches into
-// per-worker policy state, so notify_association brings the source and
+// the session's policy state, so notify_association brings the source and
 // destination dataplanes to wait_idle() (every formable round decided —
 // no flush pass, so receiver state is untouched). Unlike PR 9's
 // single-driver contract, notify_association and apply_handoff may now
@@ -257,9 +257,9 @@ class FleetCoordinator {
     std::vector<EngineDecision> decisions;
     /// Serializes export/import/forget, and the wait_idle before them,
     /// on this site's session: the fleet hooks are quiescent-use-only
-    /// (they reach into per-worker policy state without dataplane
-    /// locks), so two handoffs touching one site must not run them at
-    /// once. wait_idle itself is thread-safe.
+    /// (they reach into the control thread's policy state without
+    /// dataplane locks), so two handoffs touching one site must not run
+    /// them at once. wait_idle itself is thread-safe.
     std::unique_ptr<std::mutex> mu;
     /// Declared last: the session's sink writes into `decisions` from
     /// the session's control thread, so the session (whose destructor

@@ -28,7 +28,8 @@ struct CoordinatorConfig {
   /// engine the bound is split across MAC-hash shards (must then be
   /// >= num_shards), and when eviction actually fires the engine's
   /// eviction choices — hence decisions for evicted-and-returning
-  /// MACs — can differ from a serial Coordinator's global LRU.
+  /// MACs — can differ from a serial Coordinator's global LRU. They
+  /// are the same at any engine worker count.
   std::size_t max_tracked_macs = 0;
   /// Expire spoof trackers idle for this many observation ticks via the
   /// detector's timing wheel; 0 (default) = never. Opt-in because an
@@ -72,11 +73,9 @@ class Coordinator {
   /// the chain wants spoof checking) was computed by the caller against
   /// its own MAC-sharded tracker state instead of this coordinator's
   /// detector, and the caller supplies the global frame index for
-  /// stateful policies (rate limiting windows on it). A shard-affine
-  /// worker's chain sees only its own MACs' frames, so its local frame
-  /// count is not the global sequence number — the engine passes the
-  /// re-sequencer's global index here to keep decisions byte-identical
-  /// to a serial chain.
+  /// stateful policies (rate limiting windows on it). The engine's
+  /// control thread passes each frame's sequence number, the same clock
+  /// its fleet-handoff export advances rate windows to.
   FrameDecision process_prejudged(
       const std::vector<ApObservation>& observations,
       const std::optional<SpoofObservation>& spoof, std::size_t frame_index);

@@ -7,9 +7,10 @@
 // drop and keeping per-policy accept/drop counters.
 //
 // The chain is deterministic by construction: policies run sequentially
-// over an already re-sequenced frame stream, so any stateful policy
-// (spoof tracking, rate limiting) sees frames in the same global order
-// at any engine thread count.
+// over a frame stream in global sequence order (the engine's control
+// thread runs its one chain), so any stateful policy (spoof tracking,
+// rate limiting) sees frames in the same global order at any engine
+// thread count.
 #pragma once
 
 #include <cstddef>
@@ -66,8 +67,7 @@ struct PolicyTrace {
 
 /// The chain's decision for one fused frame. `detail` and the trace
 /// entries are std::string_view over string constants with static
-/// storage duration, so decisions stay valid across copies and the
-/// engine's re-sequencing queue.
+/// storage duration, so decisions stay valid wherever they are copied.
 struct FrameDecision {
   bool accepted = true;
   /// Name of the policy that dropped the frame; empty when accepted.
@@ -276,8 +276,10 @@ struct RateLimitConfig {
 /// cost nothing: live entries are bounded by the frames in flight in
 /// one window, not by the client population. The wheel is driven by the
 /// frame indices the policy evaluates — under the engine, the global
-/// sequence numbers the shard-affine worker's chain sees in fixed order
-/// at any thread count.
+/// sequence numbers of the session's one chain, which the control
+/// thread runs in sequence order at any worker count. The LRU bound is
+/// therefore global too: when it binds, decisions still do not depend
+/// on the worker count.
 ///
 /// tracked_macs() therefore counts MACs with in-window frames (the
 /// node-based implementation also counted idle MACs until LRU eviction

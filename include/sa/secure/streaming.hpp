@@ -69,16 +69,16 @@ class StreamingReceiver {
   //
   // Commit-behind: a Scan captures its own absolute coordinates (base,
   // seen) and commit's emit/defer arithmetic uses *those*, not the live
-  // buffer fields. A pipelined caller (EngineSession) may therefore run
-  // scan for round N+1 before commit for round N has been applied, as
-  // long as (a) scans happen in round order, (b) commits happen in round
-  // order, (c) commit N never precedes scan N, and (d) all calls on one
-  // receiver are externally serialized (no physical concurrency). A scan
-  // taken ahead of a pending commit sees a stale emit watermark and an
-  // untrimmed buffer, so it may list candidates the pending commit is
-  // about to cover — commit drops those deterministically against the
-  // then-current watermark, and the emitted packet stream is identical
-  // to the lock-step schedule.
+  // buffer fields. A caller may therefore run scan for round N+1 before
+  // commit for round N has been applied, as long as (a) scans happen in
+  // round order, (b) commits happen in round order, (c) commit N never
+  // precedes scan N, and (d) all calls on one receiver are externally
+  // serialized (no physical concurrency). A scan taken ahead of a
+  // pending commit sees a stale emit watermark and an untrimmed buffer,
+  // so it may list candidates the pending commit is about to cover —
+  // commit drops those deterministically against the then-current
+  // watermark, and the emitted packet stream is identical to the
+  // lock-step schedule.
 
   /// One not-yet-emitted detection in the current buffer.
   struct Candidate {
@@ -122,9 +122,9 @@ class StreamingReceiver {
       const Scan& scan, std::vector<std::optional<ReceivedPacket>> processed,
       bool final_pass);
 
-  /// Absolute end of the last emitted packet. Pipelined callers consult
-  /// this (after the preceding round's commit) to skip re-decoding
-  /// candidates an earlier commit already covered.
+  /// Absolute end of the last emitted packet. A commit-behind caller
+  /// consults this (after the preceding round's commit) to skip
+  /// re-decoding candidates an earlier commit already covered.
   std::size_t emit_watermark() const { return emit_watermark_; }
 
   const AccessPoint& ap() const { return ap_; }

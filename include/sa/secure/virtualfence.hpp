@@ -43,7 +43,7 @@ struct FenceDecision {
   bool allowed = false;
   std::optional<LocalizationResult> location;
   /// Always a string constant with static storage duration — safe to
-  /// copy the decision around (e.g. the engine's re-sequencing queue).
+  /// copy the decision around.
   std::string_view reason = "";
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <map>
 #include <utility>
 
@@ -48,6 +47,7 @@ EngineSession::EngineSession(SessionConfig config,
       spoof_(config_.engine.coordinator.tracker, config_.engine.num_shards,
              config_.engine.coordinator.max_tracked_macs,
              config_.engine.coordinator.spoof_idle_frames),
+      coordinator_(config_.engine.coordinator),
       sink_(std::move(sink)),
       spin_(std::thread::hardware_concurrency() > 1 ? 128 : 0) {
   SA_EXPECTS(!aps_.empty());
@@ -68,16 +68,10 @@ EngineSession::EngineSession(SessionConfig config,
 
   const std::size_t n_workers = resolve_threads(config_.engine.num_threads);
   const std::size_t aps_per_worker = (n_aps + n_workers - 1) / n_workers;
-  // The round bound caps ApJobs per worker, so the work ring can be
-  // sized to never fill; decide/done rings can in principle overflow
-  // (candidate counts are unbounded) and their producers handle it.
-  const std::size_t work_cap =
-      (config_.max_inflight_rounds + 1) * aps_per_worker;
   workers_.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
-    workers_.push_back(std::make_unique<Worker>(
-        work_cap, /*decide_cap=*/256, /*done_cap=*/512,
-        config_.engine.coordinator));
+    workers_.push_back(std::make_unique<Worker>(config_.max_inflight_rounds *
+                                                aps_per_worker));
   }
 
   control_ = std::thread([this] { control_loop(); });
@@ -264,7 +258,6 @@ SessionStats EngineSession::session_stats() const {
   s.decisions_emitted =
       stats_.decisions_emitted.load(std::memory_order_acquire);
   s.stale_retries = stats_.stale_retries.load(std::memory_order_acquire);
-  s.stale_skips = stats_.stale_skips.load(std::memory_order_acquire);
   s.max_inflight_frames =
       stats_.max_inflight_frames.load(std::memory_order_acquire);
   s.max_admitted_rounds =
@@ -285,32 +278,11 @@ SessionStats EngineSession::session_stats() const {
 }
 
 Coordinator::Stats EngineSession::stats() const {
-  Coordinator::Stats sum;
-  for (const auto& wk : workers_) {
-    const Coordinator::Stats s = wk->coordinator.stats();
-    sum.frames += s.frames;
-    sum.accepted += s.accepted;
-    sum.dropped_fence += s.dropped_fence;
-    sum.dropped_spoof += s.dropped_spoof;
-    sum.dropped_undecodable += s.dropped_undecodable;
-    sum.dropped_policy += s.dropped_policy;
-  }
-  return sum;
+  return coordinator_.stats();
 }
 
 std::vector<PolicyChain::PolicyStats> EngineSession::policy_stats() const {
-  // Every worker's chain was built from the same config: same rows.
-  std::vector<PolicyChain::PolicyStats> sum =
-      workers_.front()->coordinator.chain().policy_stats();
-  for (std::size_t w = 1; w < workers_.size(); ++w) {
-    const auto& rows = workers_[w]->coordinator.chain().policy_stats();
-    for (std::size_t i = 0; i < sum.size(); ++i) {
-      sum[i].evaluated += rows[i].evaluated;
-      sum[i].accepted += rows[i].accepted;
-      sum[i].dropped += rows[i].dropped;
-    }
-  }
-  return sum;
+  return coordinator_.chain().policy_stats();
 }
 
 // ---------------------------------------------------- fleet handoff hooks
@@ -318,9 +290,7 @@ std::vector<PolicyChain::PolicyStats> EngineSession::policy_stats() const {
 ClientHandoffState EngineSession::export_client_state(const MacAddress& mac) {
   ClientHandoffState st;
   st.tracker = spoof_.export_tracker(mac);
-  // The MAC's stateful policies live on the worker owning its shard.
-  Worker& wk = *workers_[spoof_.shard_of(mac) % workers_.size()];
-  PolicyChain& chain = wk.coordinator.mutable_chain();
+  PolicyChain& chain = coordinator_.mutable_chain();
   const std::size_t frame_clock =
       stats_.decisions_emitted.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -338,23 +308,20 @@ ClientHandoffState EngineSession::export_client_state(const MacAddress& mac) {
 void EngineSession::import_client_state(const MacAddress& mac,
                                         const ClientHandoffState& state) {
   if (state.tracker) spoof_.import_tracker(mac, *state.tracker);
-  const std::size_t owner = spoof_.shard_of(mac) % workers_.size();
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    PolicyChain& chain = workers_[w]->coordinator.mutable_chain();
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      SecurityPolicy& p = chain.policy_mutable(i);
-      if (auto* acl = dynamic_cast<AclPolicy*>(&p)) {
-        if (state.acl_allowed) {
-          if (*state.acl_allowed) {
-            acl->mutable_acl().allow(mac);
-          } else {
-            acl->mutable_acl().revoke(mac);
-          }
+  PolicyChain& chain = coordinator_.mutable_chain();
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    SecurityPolicy& p = chain.policy_mutable(i);
+    if (auto* acl = dynamic_cast<AclPolicy*>(&p)) {
+      if (state.acl_allowed) {
+        if (*state.acl_allowed) {
+          acl->mutable_acl().allow(mac);
+        } else {
+          acl->mutable_acl().revoke(mac);
         }
-      } else if (auto* rate = dynamic_cast<RateLimitPolicy*>(&p)) {
-        if (w == owner && state.rate_in_window) {
-          rate->import_residue(mac, *state.rate_in_window);
-        }
+      }
+    } else if (auto* rate = dynamic_cast<RateLimitPolicy*>(&p)) {
+      if (state.rate_in_window) {
+        rate->import_residue(mac, *state.rate_in_window);
       }
     }
   }
@@ -362,8 +329,7 @@ void EngineSession::import_client_state(const MacAddress& mac,
 
 void EngineSession::forget_client(const MacAddress& mac) {
   spoof_.forget(mac);
-  Worker& wk = *workers_[spoof_.shard_of(mac) % workers_.size()];
-  PolicyChain& chain = wk.coordinator.mutable_chain();
+  PolicyChain& chain = coordinator_.mutable_chain();
   for (std::size_t i = 0; i < chain.size(); ++i) {
     if (auto* rate = dynamic_cast<RateLimitPolicy*>(&chain.policy_mutable(i))) {
       rate->forget(mac);
@@ -393,7 +359,7 @@ void EngineSession::worker_loop(std::size_t w) {
           [&] {
             return closing_.load(std::memory_order_acquire) ||
                    failed_.load(std::memory_order_acquire) ||
-                   !wk.decide.empty() || !wk.work.empty();
+                   !wk.work.empty();
           },
           spin_, &stats_.spin_polls, &stats_.parks);
       if (closing_.load(std::memory_order_acquire) ||
@@ -406,26 +372,13 @@ void EngineSession::worker_loop(std::size_t w) {
       // counters are published per job, not at burst end — a stats
       // snapshot taken mid-burst must still see the work.
       std::size_t burst = 0;
-      auto count_job = [&] {
+      ApJob job;
+      while (wk.work.try_pop(job)) {
+        process_ap_job(wk, std::move(job));
         if (++burst == 1) {
           stats_.worker_bursts.fetch_add(1, std::memory_order_relaxed);
         }
         stats_.worker_jobs.fetch_add(1, std::memory_order_relaxed);
-      };
-      DecideJob dj;
-      ApJob job;
-      // Decisions first: they gate round completion and budget release.
-      while (wk.decide.try_pop(dj)) {
-        process_decide_job(wk, std::move(dj));
-        count_job();
-      }
-      while (wk.work.try_pop(job)) {
-        process_ap_job(wk, std::move(job));
-        count_job();
-        while (wk.decide.try_pop(dj)) {
-          process_decide_job(wk, std::move(dj));
-          count_job();
-        }
       }
       if (burst != 0) atomic_max(stats_.max_worker_burst, burst);
     }
@@ -437,72 +390,57 @@ void EngineSession::worker_loop(std::size_t w) {
 void EngineSession::process_ap_job(Worker& wk, ApJob job) {
   StreamingReceiver& rx = *streams_[job.ap];
   // Run-to-completion, lock-free: this worker is the only thread that
-  // ever touches this receiver, and it committed round N-1 before
-  // scanning round N — the lock-step schedule StreamingReceiver
-  // documents as byte-identical to any commit-behind pipeline.
+  // ever touches this receiver, and it commits each round before it
+  // scans the next, so scan() has already dropped every candidate an
+  // earlier commit emitted.
   StreamingReceiver::Scan scan = rx.scan(job.chunk ? &*job.chunk : nullptr);
-  const std::size_t watermark = rx.emit_watermark();
   const std::size_t n_cands = scan.candidates.size();
   std::vector<std::optional<ReceivedPacket>> processed(n_cands);
   std::size_t retries = 0;
-  std::size_t skips = 0;
   for (std::size_t j = 0; j < n_cands; ++j) {
     const auto& cand = scan.candidates[j];
-    if (cand.absolute_start < scan.prev_seen) {
-      // Candidate predates this round's chunk: either an earlier commit
-      // already emitted it (skip — commit would dedupe it anyway) or it
-      // is a genuine deferred retry.
-      if (cand.absolute_start < watermark) {
-        ++skips;
-        continue;
-      }
-      ++retries;
-    }
+    // A candidate predating this round's chunk is a deferred retry.
+    if (cand.absolute_start < scan.prev_seen) ++retries;
     processed[j] =
         aps_[job.ap]->demodulate(*scan.conditioned, cand.detection,
                                  &wk.scratch);
   }
   Completion done;
-  done.kind = Completion::Kind::kApDone;
   done.round = job.round;
   done.ap = job.ap;
   done.packets = rx.commit(scan, std::move(processed), job.final_pass);
   done.candidates = n_cands;
   done.retries = retries;
-  done.skips = skips;
   done.drain_tag = job.drain_tag;
   done.had_chunk = job.chunk.has_value();
-  push_completion(wk, std::move(done));
+  const bool pushed = wk.done.try_push(std::move(done));
+  SA_EXPECTS(pushed);  // sized for every in-flight round (see Worker)
+  control_bell_.ring();
 }
 
-void EngineSession::process_decide_job(Worker& wk, DecideJob job) {
-  // This worker owns shard_of(source MAC): the spoof observe and every
-  // stateful policy in its chain see this MAC's frames in global
-  // sequence order, judged against state no other thread touches.
+void EngineSession::decide(std::size_t sequence, const FrameGroup& group) {
+  // The control thread owns every MAC's tracker and policy state, and it
+  // decides frames in sequence order: the serial chain, exactly.
   std::optional<SpoofObservation> so;
-  const ApObservation& best = Coordinator::best_observation(job.observations);
-  if (wk.coordinator.wants_spoof() && best.packet.frame) {
+  const ApObservation& best = Coordinator::best_observation(group.observations);
+  if (coordinator_.wants_spoof() && best.packet.frame) {
     so = spoof_.observe(best.packet.frame->addr2, best.packet.subband);
   }
-  Completion done;
-  done.kind = Completion::Kind::kDecision;
-  done.round = job.round;
-  done.sequence = job.sequence;
-  done.absolute_start = job.absolute_start;
-  done.decision =
-      wk.coordinator.process_prejudged(job.observations, so, job.sequence);
-  push_completion(wk, std::move(done));
-}
-
-void EngineSession::push_completion(Worker& wk, Completion c) {
-  while (!wk.done.try_push(std::move(c))) {
-    // Ring full: the control thread drains eagerly, so just prod it and
-    // retry. It never blocks on this worker, so this cannot deadlock.
-    control_bell_.ring();
-    std::this_thread::yield();
-    if (failed_.load(std::memory_order_acquire)) return;
+  EngineDecision d;
+  d.sequence = sequence;
+  d.absolute_start = group.absolute_start;
+  d.decision = coordinator_.process_prejudged(group.observations, so, sequence);
+  if (CaptureWriter* capture = config_.engine.capture;
+      capture != nullptr && !capture->closed()) {
+    if (config_.engine.capture_site) {
+      capture->record_site_decision(*config_.engine.capture_site, d.sequence,
+                                    d.absolute_start, d.decision);
+    } else {
+      capture->record_decision(d.sequence, d.absolute_start, d.decision);
+    }
   }
-  control_bell_.ring();
+  sink_(d);
+  stats_.decisions_emitted.fetch_add(1, std::memory_order_release);
 }
 
 // ---------------------------------------------------------- control loop
@@ -517,55 +455,23 @@ void EngineSession::control_loop() {
     std::vector<std::vector<StreamingReceiver::StreamPacket>> per_ap;
     std::size_t candidates = 0;
     std::size_t retries = 0;
-    std::size_t skips = 0;
-    std::uint64_t drain_tag = 0;
-    bool had_chunk = false;
-  };
-  /// A grouped round whose decisions are still outstanding.
-  struct OpenRound {
-    std::uint64_t id = 0;
-    std::size_t candidates = 0;
-    std::size_t first_sequence = 0;
-    std::size_t expected = 0;
-    std::size_t done = 0;
     std::uint64_t drain_tag = 0;
     bool had_chunk = false;
   };
 
   std::map<std::uint64_t, RoundAgg> collecting;
-  std::uint64_t next_round_to_group = 1;
-  std::deque<OpenRound> open;  // strictly ascending round ids
-  std::map<std::size_t, Completion> ready;  // sequence -> decision
-  std::size_t next_emit = 0;
+  std::uint64_t next_round_to_decide = 1;
   std::size_t next_sequence = 0;
   std::vector<Completion> batch;
   // The round budget, owned by this thread: rounds dispatched so far
-  // (the last round id), dispatched-but-unretired rounds, and the
-  // candidates of grouped-but-unretired rounds.
+  // (the last round id) and dispatched-but-unretired rounds.
   std::uint64_t rounds_dispatched = 0;
   std::size_t in_flight = 0;
-  std::size_t inflight_frames = 0;
   std::uint64_t drains_issued = 0;
 
   const auto stopping = [&] {
     return closing_.load(std::memory_order_acquire) ||
            failed_.load(std::memory_order_acquire);
-  };
-  const auto drain_done_rings = [&] {
-    for (auto& wk : workers_) {
-      wk->done.pop_batch(batch, wk->done.capacity());
-    }
-  };
-  // The target worker may itself be blocked pushing completions: while
-  // its ring is full, keep draining done rings (into `batch`, handled
-  // next pass) so the cycle always makes progress.
-  const auto push_job = [&](auto& ring, Worker& wk, auto job) {
-    while (!ring.try_push(std::move(job))) {
-      wk.bell.ring();
-      drain_done_rings();
-      std::this_thread::yield();
-      if (stopping()) return;
-    }
   };
   const auto can_dispatch = [&] {
     return in_flight < config_.max_inflight_rounds &&
@@ -575,140 +481,70 @@ void EngineSession::control_loop() {
 
   try {
     for (;;) {
-      if (batch.empty()) {
-        control_bell_.wait(
-            [&] {
-              if (stopping()) return true;
-              for (const auto& wk : workers_) {
-                if (!wk->done.empty()) return true;
-              }
-              return can_dispatch();
-            },
-            spin_, &stats_.spin_polls, &stats_.parks);
-      }
+      control_bell_.wait(
+          [&] {
+            if (stopping()) return true;
+            for (const auto& wk : workers_) {
+              if (!wk->done.empty()) return true;
+            }
+            return can_dispatch();
+          },
+          spin_, &stats_.spin_polls, &stats_.parks);
       if (stopping()) return;
 
       // ---- 1. Drain the workers' done rings.
-      drain_done_rings();
+      for (auto& wk : workers_) {
+        wk->done.pop_batch(batch, wk->done.capacity());
+      }
       for (Completion& c : batch) {
-        if (c.kind == Completion::Kind::kApDone) {
-          RoundAgg& agg = collecting[c.round];
-          if (agg.per_ap.empty()) agg.per_ap.resize(n_aps);
-          agg.per_ap[c.ap] = std::move(c.packets);
-          agg.candidates += c.candidates;
-          agg.retries += c.retries;
-          agg.skips += c.skips;
-          agg.drain_tag = std::max(agg.drain_tag, c.drain_tag);
-          agg.had_chunk = agg.had_chunk || c.had_chunk;
-          ++agg.aps_done;
-        } else {
-          for (OpenRound& r : open) {
-            if (r.id == c.round) {
-              ++r.done;
-              break;
-            }
-          }
-          ready.emplace(c.sequence, std::move(c));
-        }
+        RoundAgg& agg = collecting[c.round];
+        if (agg.per_ap.empty()) agg.per_ap.resize(n_aps);
+        agg.per_ap[c.ap] = std::move(c.packets);
+        agg.candidates += c.candidates;
+        agg.retries += c.retries;
+        agg.drain_tag = std::max(agg.drain_tag, c.drain_tag);
+        agg.had_chunk = agg.had_chunk || c.had_chunk;
+        ++agg.aps_done;
       }
       batch.clear();
 
-      // ---- 2. Group scan-complete rounds, strictly in round order, and
-      // route each fused frame to the worker owning its MAC shard.
+      // ---- 2. Decide every scan-complete round, strictly in round
+      // order, and retire it in the same pass: release its budget and
+      // signal drains. A drain ticket therefore completes only after
+      // every earlier round's decisions were emitted.
       for (;;) {
-        auto it = collecting.find(next_round_to_group);
+        auto it = collecting.find(next_round_to_decide);
         if (it == collecting.end() || it->second.aps_done < n_aps) break;
         RoundAgg agg = std::move(it->second);
         collecting.erase(it);
+        ++next_round_to_decide;
 
-        inflight_frames += agg.candidates;
-        atomic_max(stats_.max_inflight_frames, inflight_frames);
+        atomic_max(stats_.max_inflight_frames, agg.candidates);
+        atomic_max(stats_.max_admitted_rounds, 1);
         stats_.stale_retries.fetch_add(agg.retries,
                                        std::memory_order_relaxed);
-        stats_.stale_skips.fetch_add(agg.skips, std::memory_order_relaxed);
-
-        std::vector<FrameGroup> groups = group_frame_observations(
-            std::move(agg.per_ap), positions_,
-            config_.engine.group_slack_samples);
-
-        OpenRound r;
-        r.id = next_round_to_group;
-        r.candidates = agg.candidates;
-        r.first_sequence = next_sequence;
-        r.expected = groups.size();
-        r.drain_tag = agg.drain_tag;
-        r.had_chunk = agg.had_chunk;
-        open.push_back(r);
-        atomic_max(stats_.max_admitted_rounds, open.size());
-
-        for (FrameGroup& g : groups) {
-          const std::size_t seq = next_sequence++;
-          const ApObservation& best =
-              Coordinator::best_observation(g.observations);
-          const std::size_t w =
-              best.packet.frame
-                  ? spoof_.shard_of(best.packet.frame->addr2) % n_workers
-                  : seq % n_workers;
-          DecideJob job;
-          job.round = next_round_to_group;
-          job.sequence = seq;
-          job.absolute_start = g.absolute_start;
-          job.observations = std::move(g.observations);
-          Worker& wk = *workers_[w];
-          push_job(wk.decide, wk, std::move(job));
-          wk.bell.ring();
+        for (const FrameGroup& g : group_frame_observations(
+                 std::move(agg.per_ap), positions_,
+                 config_.engine.group_slack_samples)) {
+          decide(next_sequence++, g);
         }
-        ++next_round_to_group;
-      }
 
-      // ---- 3. Emit finished decisions, strictly in sequence order.
-      while (!ready.empty() && ready.begin()->first == next_emit) {
-        Completion& c = ready.begin()->second;
-        EngineDecision d;
-        d.sequence = c.sequence;
-        d.absolute_start = c.absolute_start;
-        d.decision = std::move(c.decision);
-        if (CaptureWriter* capture = config_.engine.capture;
-            capture != nullptr && !capture->closed()) {
-          if (config_.engine.capture_site) {
-            capture->record_site_decision(*config_.engine.capture_site,
-                                          d.sequence, d.absolute_start,
-                                          d.decision);
-          } else {
-            capture->record_decision(d.sequence, d.absolute_start, d.decision);
-          }
-        }
-        sink_(d);
-        stats_.decisions_emitted.fetch_add(1, std::memory_order_release);
-        ready.erase(ready.begin());
-        ++next_emit;
-      }
-
-      // ---- 4. Retire rounds from the front, in round order, once all
-      // their decisions are out: release budget, signal drains. In-order
-      // retirement guarantees a drain ticket only completes after every
-      // earlier round's decisions were emitted.
-      while (!open.empty() && open.front().done == open.front().expected &&
-             next_emit >= open.front().first_sequence + open.front().expected) {
-        const OpenRound r = open.front();
-        open.pop_front();
-        inflight_frames -= r.candidates;
         stats_.rounds_completed.fetch_add(1, std::memory_order_release);
-        if (r.had_chunk) {
+        if (agg.had_chunk) {
           stats_.rounds_retired.fetch_add(1, std::memory_order_release);
         }
-        if (r.drain_tag != 0) {
+        if (agg.drain_tag != 0) {
           // Single writer: plain max-store suffices.
           const std::uint64_t cur =
               drains_completed_.load(std::memory_order_relaxed);
-          drains_completed_.store(std::max(cur, r.drain_tag),
+          drains_completed_.store(std::max(cur, agg.drain_tag),
                                   std::memory_order_release);
         }
         rounds_in_flight_.store(--in_flight, std::memory_order_release);
         done_bell_.ring();
       }
 
-      // ---- 5. Form and dispatch every round the budget admits — last,
+      // ---- 3. Form and dispatch every round the budget admits — last,
       // so budget retired above is reused without another wake-up: a
       // complete round off the rings; during a drain, a padded round for
       // ragged leftovers; then the drain's final flush pass.
@@ -739,19 +575,18 @@ void EngineSession::control_loop() {
 
         const std::uint64_t id = ++rounds_dispatched;
         atomic_max(stats_.max_overlapped_rounds,
-                   id - (next_round_to_group - 1));
+                   id - (next_round_to_decide - 1));
 
         for (std::size_t i = 0; i < n_aps; ++i) {
-          Worker& wk = *workers_[i % n_workers];
           ApJob job;
           job.round = id;
           job.ap = i;
           job.chunk = std::move(chunks[i]);
           job.final_pass = final_pass;
           job.drain_tag = drain_tag;
-          // The work ring is sized for max_inflight_rounds, so this
-          // never waits in practice; push_job is a correctness backstop.
-          push_job(wk.work, wk, std::move(job));
+          const bool pushed = workers_[i % n_workers]->work.try_push(
+              std::move(job));
+          SA_EXPECTS(pushed);  // sized for every in-flight round (see Worker)
         }
         // One doorbell per dispatched round, not per ApJob: ringing a
         // parked worker takes its mutex, so per-job rings force needless

@@ -313,9 +313,9 @@ TEST(RateLimitPolicy, WindowEdgeFramesCountInExactlyOneWindow) {
   // at distance W-1 (deny) and is pruned at distance W (accept), with
   // no double-count and no off-by-one gap. The same RateLimitPolicy
   // instance runs inside the one Coordinator whether driven serially or
-  // by the (sharded) engine's re-sequenced stream, and frame indices
-  // are the chain's global frame counter in both, so this pins the
-  // boundary behavior for both paths.
+  // by the engine's control thread, and frame indices are the chain's
+  // global frame counter in both, so this pins the boundary behavior for
+  // both paths.
   RateLimitConfig cfg;
   cfg.max_frames = 1;
   cfg.window_frames = 10;

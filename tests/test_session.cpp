@@ -225,9 +225,9 @@ TEST(Session, LockStepAndPipelinedMatchSerialReferenceAtAnyThreadCount) {
 }
 
 TEST(Session, WidebandSubbandsMatchSerialReferenceAtAnyThreadCount) {
-  // subbands = 4: the re-sequenced decision stream must still be
-  // identical at any thread count — and identical to the serial
-  // reference, whose demodulate runs the same per-band pipeline inline.
+  // subbands = 4: the decision stream must still be identical at any
+  // thread count — and identical to the serial reference, whose
+  // demodulate runs the same per-band pipeline inline.
   SessionRig rig(11, /*subbands=*/4);
   const auto reference = rig.run_serial_reference();
   ASSERT_GE(reference.size(), 5u);
@@ -258,7 +258,7 @@ TEST(Session, StatsMatchSerialCoordinatorWithGapFreeSequences) {
   rig.feed(session, /*lockstep=*/true);
   EXPECT_EQ(session.stats().frames, out.size());
   EXPECT_EQ(session.stats().frames, rig.run_serial_reference().size());
-  // Decisions come back re-sequenced into one gap-free global order.
+  // Decisions come back in one gap-free global order.
   ASSERT_FALSE(out.empty());
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].sequence, i);
   // Both defenses fired somewhere in the mixed workload.
@@ -284,6 +284,34 @@ TEST(Session, FivePolicyChainIsScheduleAndThreadCountInvariant) {
       expect_identical_streams(
           rig.run_session(rig.five_policy_config(threads), lockstep),
           reference);
+    }
+  }
+}
+
+TEST(Session, BindingRateLimitBoundIsThreadCountInvariant) {
+  // One rate slot for the whole session: every MAC that sends evicts the
+  // last one's window from the limiter's LRU. The session runs one
+  // policy chain, so which MAC is evicted, and hence every decision,
+  // must not depend on the worker count.
+  SessionRig rig(11);
+  const auto config = [&](std::size_t threads) {
+    SessionConfig cfg = rig.five_policy_config(threads);
+    cfg.engine.coordinator.rate_limit.max_frames = 1;
+    cfg.engine.coordinator.rate_limit.max_tracked_macs = 1;
+    return cfg;
+  };
+  const auto reference = rig.run_session(config(1), /*lockstep=*/true);
+  ASSERT_GE(reference.size(), 5u);
+  std::size_t rate_drops = 0;
+  for (const EngineDecision& d : reference) {
+    if (d.decision.policy == RateLimitPolicy::kName) ++rate_drops;
+  }
+  EXPECT_GT(rate_drops, 0u);  // the limiter fires with the bound binding
+  for (std::size_t threads : {2u, 4u, 8u}) {
+    for (bool lockstep : {true, false}) {
+      SCOPED_TRACE(schedule_name(threads, lockstep));
+      expect_identical_streams(rig.run_session(config(threads), lockstep),
+                               reference);
     }
   }
 }

@@ -238,11 +238,11 @@ TEST(Streaming, TwoPhaseScanCommitMatchesPush) {
 }
 
 TEST(Streaming, CommitBehindScheduleEmitsIdenticalStream) {
-  // The pipelined engine session scans round N+1 before round N's commit
-  // has been applied (commit-behind). The emitted packet stream must be
-  // identical to the lock-step schedule: a scan taken ahead of a pending
-  // commit lists extra candidates (the pending round's packets, not yet
-  // below the watermark), and commit must drop exactly those.
+  // A commit-behind caller scans round N+1 before round N's commit has
+  // been applied. The emitted packet stream must be identical to the
+  // lock-step schedule: a scan taken ahead of a pending commit lists
+  // extra candidates (the pending round's packets, not yet below the
+  // watermark), and commit must drop exactly those.
   StreamRig rig;
   // Three chunks: a packet inside chunk 1, a packet straddling the
   // chunk-2/3 boundary (exercising the deferred-retry path), noise tail.
@@ -267,8 +267,7 @@ TEST(Streaming, CommitBehindScheduleEmitsIdenticalStream) {
 
   // Commit-behind: every scan runs first, then the commits land behind
   // them in order. Candidates an earlier commit has emitted by commit
-  // time are handed in as nullopt, exactly as the session's back-end
-  // does after its watermark check.
+  // time are handed in as nullopt, after a check against the watermark.
   std::vector<StreamingReceiver::StreamPacket> emitted;
   {
     StreamingReceiver rx(rig.ap);
@@ -533,12 +532,11 @@ TEST(Streaming, IncrementalBitIdenticalToLegacyOneSampleChunks) {
 }
 
 TEST(Streaming, IncrementalBitIdenticalToLegacyCommitBehind) {
-  // Commit-behind schedule (the pipelined session's interleave): all
-  // scans run ahead, then the commits land behind them in order. Both
-  // implementations walk the identical schedule and must agree bit for
-  // bit — scan coordinates, candidate lists, snapshots, emissions. The
-  // incremental snapshot is the legacy one's columns from the first
-  // candidate on.
+  // Commit-behind schedule: all scans run ahead, then the commits land
+  // behind them in order. Both implementations walk the identical
+  // schedule and must agree bit for bit — scan coordinates, candidate
+  // lists, snapshots, emissions. The incremental snapshot is the legacy
+  // one's columns from the first candidate on.
   StreamRig rig;
   StreamingConfig cfg;
   cfg.history_samples = 2500;

@@ -25,9 +25,9 @@
 // invalidated by any later mutation (erase or insert may shift or
 // rehash slots) — use them immediately.
 //
-// Not thread safe; in the engine the control thread owns the policy
-// chain's maps outright, and each spoof shard's map sits behind that
-// shard's mutex, so the map itself takes no lock.
+// Not thread safe; in the engine the session's control thread owns the
+// policy chain's maps and the spoof shards' maps outright, so the map
+// itself takes no lock.
 #pragma once
 
 #include <cstddef>

@@ -186,9 +186,12 @@ class EngineSession {
 
   // --- fleet-handoff hooks --------------------------------------------
   // Quiescent-use-only contract: call these only when the pipeline is
-  // idle (after drain()/wait_idle(), with no concurrent submit()); they
-  // reach into the control thread's policy state without dataplane
-  // locks.
+  // idle (after drain()/wait_idle(), with no concurrent submit()), and
+  // from one thread at a time; they reach into the control thread's
+  // policy state and spoof shards, neither of which takes a lock.
+  // FleetCoordinator meets the contract by calling them under its
+  // control-plane lock, right after wait_idle() on the session; its
+  // driver's part is not to submit to the site meanwhile.
 
   /// Copy out everything this session knows about `mac` (tracker
   /// accumulators, ACL verdict, rate residue). The rate window is first

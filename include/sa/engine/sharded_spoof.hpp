@@ -1,14 +1,14 @@
-// Per-MAC tracker state sharded by MAC hash. Each shard owns an
-// independent SpoofDetector behind its own mutex, and a MAC always maps
-// to the same shard, so every client's signature history evolves
-// strictly in frame order. The session's control thread makes every
-// observe() call, in frame order; the mutexes are for the calls that
-// may run on another thread (stats(), and the fleet hooks'
-// export_tracker(), import_tracker() and forget()).
+// Per-MAC tracker state sharded by MAC hash. Each shard is an
+// independent SpoofDetector, and a MAC always maps to the same shard,
+// so every client's signature history evolves strictly in frame order.
+// Nothing here takes a lock: the session's control thread makes every
+// observe() call, in frame order, and any other thread may touch the
+// shards only while the session is quiescent — stats() readers after
+// drain() or wait_idle(), and the session's fleet-handoff hooks (the
+// callers of export_tracker(), import_tracker() and forget()), which
+// FleetCoordinator calls under its control-plane lock after wait_idle().
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sa/secure/spoofdetector.hpp"
@@ -40,8 +40,8 @@ class ShardedSpoofDetector {
 
   std::size_t num_shards() const { return shards_.size(); }
 
-  /// Feed one (MAC, signature) pair; locks only the owning shard. The
-  /// tracker comparison is subband-wise, like SpoofDetector's.
+  /// Feed one (MAC, signature) pair to its owning shard. The tracker
+  /// comparison is subband-wise, like SpoofDetector's.
   SpoofObservation observe(const MacAddress& source,
                            const SubbandSignature& signature);
   /// Single-band compatibility overload.
@@ -51,8 +51,8 @@ class ShardedSpoofDetector {
   /// Forget a MAC entirely (e.g. after deauthentication).
   void forget(const MacAddress& source);
 
-  /// Copy out a MAC's tracker state (cross-site handoff export); locks
-  /// only the owning shard. nullopt if the MAC is not tracked.
+  /// Copy out a MAC's tracker state (cross-site handoff export).
+  /// nullopt if the MAC is not tracked.
   std::optional<TrackerSnapshot> export_tracker(const MacAddress& source) const;
 
   /// Install handed-off tracker state into the owning shard (see
@@ -65,14 +65,7 @@ class ShardedSpoofDetector {
  private:
   std::size_t shard_of(const MacAddress& source) const;
 
-  struct Shard {
-    Shard(const TrackerConfig& cfg, std::size_t max_tracked,
-          std::size_t idle_expiry_frames)
-        : detector(cfg, max_tracked, idle_expiry_frames) {}
-    mutable std::mutex mu;
-    SpoofDetector detector;
-  };
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<SpoofDetector> shards_;
 };
 
 }  // namespace sa

@@ -46,17 +46,17 @@
 // construction and can never clobber state the destination has since
 // accumulated from live frames.
 //
-// Quiescence and concurrency: handoff import/export reaches into
-// the session's policy state, so notify_association brings the source and
-// destination dataplanes to wait_idle() (every formable round decided —
-// no flush pass, so receiver state is untouched). Unlike PR 9's
-// single-driver contract, notify_association and apply_handoff may now
-// be called concurrently: per-MAC striped locks serialize same-MAC
-// handoffs end-to-end, per-site mutexes serialize quiesce/export/
-// import/forget per dataplane, and one transport mutex serializes the
-// wire phase (the virtual clock is shared). Submitting traffic for a
-// migrating client concurrently with its own handoff is still the
-// driver's race to avoid, as before.
+// Quiescence and concurrency: export, import and forget reach into a
+// session's per-MAC state through its quiescent-use-only hooks, so the
+// fleet first brings the sessions involved to wait_idle() (every
+// formable round decided — no flush pass, so receiver state is
+// untouched): both sites of a migration, and the destination of every
+// import. One control-plane mutex makes the fleet thread-safe: every
+// entry point but submit holds it from start to finish, so handoffs run
+// one at a time and a reader never sees one half done. The lock does
+// not cover submit, so submitting to a site while a handoff touches it
+// is still the driver's race to avoid: the hooks need the session to
+// stay idle.
 //
 // Capture: with a CaptureWriter, the fleet records one SACP file —
 // chunk records carry fleet-global AP ids, decisions are site-tagged
@@ -67,7 +67,6 @@
 // replay_fleet_capture re-checks — a lossy run replays byte-for-byte.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -211,15 +210,16 @@ class FleetCoordinator {
   /// source's per-MAC state, ships it over the transport (retrying under
   /// the reliability layer; cold-starting the destination if every
   /// attempt times out), and forgets it at the source. Records a kAssoc
-  /// on migrations and first associations. Safe to call concurrently
-  /// for distinct MACs; same-MAC calls serialize on a striped lock.
+  /// on migrations and first associations. Thread-safe: concurrent
+  /// calls run one at a time under the control-plane lock.
   HandoffResult notify_association(const MacAddress& mac,
                                    std::uint32_t dest_site);
 
   /// Import an externally produced FleetWire kClientState message (the
-  /// receive side of a handoff; also the test/fuzz surface). The
-  /// destination session must be quiescent. On kApplied the home map
-  /// advances to (dest, generation) and a kAssoc is recorded.
+  /// receive side of a handoff; also the test/fuzz surface). Brings the
+  /// destination session to wait_idle() before importing. On kApplied
+  /// the home map advances to (dest, generation) and a kAssoc is
+  /// recorded. Thread-safe, like notify_association.
   FleetImportOutcome apply_handoff(const ByteStream& wire);
 
   /// Drain every site's dataplane and record ONE fleet-wide drain
@@ -246,7 +246,7 @@ class FleetCoordinator {
 
   std::optional<std::uint32_t> home_site(const MacAddress& mac) const;
   std::optional<std::uint64_t> generation_of(const MacAddress& mac) const;
-  /// Snapshot of the counters (copied under the state lock).
+  /// Snapshot of the counters; waits while a handoff is in progress.
   FleetStats stats() const;
   /// Channel-side counters; zeros when no fault plan is active.
   TransportStats transport_stats() const;
@@ -255,12 +255,6 @@ class FleetCoordinator {
   struct Site {
     std::unique_ptr<BuiltDeployment> deployment;
     std::vector<EngineDecision> decisions;
-    /// Serializes export/import/forget, and the wait_idle before them,
-    /// on this site's session: the fleet hooks are quiescent-use-only
-    /// (they reach into the control thread's policy state without
-    /// dataplane locks), so two handoffs touching one site must not run
-    /// them at once. wait_idle itself is thread-safe.
-    std::unique_ptr<std::mutex> mu;
     /// Declared last: the session's sink writes into `decisions` from
     /// the session's control thread, so the session (whose destructor
     /// joins that thread) must be destroyed first.
@@ -271,34 +265,26 @@ class FleetCoordinator {
     std::uint64_t generation = 0;
   };
 
-  std::mutex& stripe_for(const MacAddress& mac);
   /// The import path shared by apply_handoff and the transport's
-  /// receive side. Takes state_mu_ for the whole check-import-update
-  /// sequence (nesting the site mutex inside), so two applies for the
-  /// same MAC cannot interleave between guard check and home update.
+  /// receive side; call with mu_ held.
   FleetImportOutcome apply_wire(const ByteStream& wire);
   void record_assoc(std::uint32_t site, std::uint64_t generation,
                     const MacAddress& mac);
   void record_transport(const MacAddress& mac, std::uint64_t generation,
                         HandoffOutcome outcome, std::uint32_t attempts);
-  /// Refresh home_map_bytes/home_clients; call with state_mu_ held.
-  void refresh_home_footprint();
 
   FleetConfig config_;
   std::size_t idle_frames_ = 0;
   std::vector<Site> sites_;
 
-  /// Per-MAC serialization for the control plane: same-MAC handoffs are
-  /// mutually exclusive end-to-end, distinct MACs proceed in parallel.
-  std::array<std::mutex, 64> stripes_;
-  /// Guards home_ and stats_. Lock order: stripe -> transport_mu_ ->
-  /// state_mu_ -> site mu. Never the reverse.
-  mutable std::mutex state_mu_;
-  /// Serializes the wire phase: the link's virtual clock and seq space
-  /// are shared, so one handoff pumps the channel at a time.
-  std::mutex transport_mu_;
+  /// The control-plane lock (see the header comment). Guards home_,
+  /// stats_, the transport stack, closed_ and every call into a site's
+  /// quiescent-use-only hooks.
+  mutable std::mutex mu_;
 
   FlatLruMap<MacAddress, Home> home_;
+  /// The fleet's own counters; stats() adds the link's and the home
+  /// map's when it is called.
   FleetStats stats_;
 
   // Transport stack, bottom-up. The link's receive callback points back

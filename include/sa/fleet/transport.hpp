@@ -88,8 +88,9 @@ struct FaultPlan {
 /// A unidirectional best-effort datagram channel with a virtual clock.
 /// send() accepts a datagram; the receiver callback fires during send()
 /// or a later tick(), depending on the implementation. Not thread-safe:
-/// the caller serializes send/tick (FleetCoordinator holds one mutex
-/// over the whole control plane's wire phase).
+/// the caller serializes send/tick and the stats readers
+/// (FleetCoordinator holds its control-plane lock around every call into
+/// the transport stack).
 class FleetTransport {
  public:
   using DeliverFn = std::function<void(const ByteStream&)>;

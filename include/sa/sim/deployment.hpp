@@ -52,8 +52,10 @@ std::optional<std::vector<PolicyKind>> policies_from_string(
 CaptureHeader capture_header_for(const DeploymentSpec& spec);
 
 /// Header -> spec; nullopt when a required "sa.*" key is missing or
-/// unparsable (a capture from some other producer), or when the
-/// deployment exceeds kMaxAntennaBands or kMaxTrackedMacs.
+/// unparsable (a capture from some other producer), when the
+/// deployment exceeds kMaxAntennaBands or kMaxTrackedMacs, or when
+/// "sa.max_tracked" is below the spoof shard count
+/// (EngineConfig::num_shards), which could not give every shard a slot.
 std::optional<DeploymentSpec> deployment_from_header(
     const CaptureHeader& header);
 

@@ -16,8 +16,7 @@ ShardedSpoofDetector::ShardedSpoofDetector(TrackerConfig tracker_config,
     // exactly max_tracked_macs.
     const std::size_t per_shard =
         max_tracked_macs == 0 ? 0 : (max_tracked_macs + i) / num_shards;
-    shards_.push_back(
-        std::make_unique<Shard>(tracker_config, per_shard, idle_expiry_frames));
+    shards_.emplace_back(tracker_config, per_shard, idle_expiry_frames);
   }
 }
 
@@ -27,9 +26,7 @@ std::size_t ShardedSpoofDetector::shard_of(const MacAddress& source) const {
 
 SpoofObservation ShardedSpoofDetector::observe(
     const MacAddress& source, const SubbandSignature& signature) {
-  Shard& shard = *shards_[shard_of(source)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.detector.observe(source, signature);
+  return shards_[shard_of(source)].observe(source, signature);
 }
 
 SpoofObservation ShardedSpoofDetector::observe(const MacAddress& source,
@@ -38,30 +35,23 @@ SpoofObservation ShardedSpoofDetector::observe(const MacAddress& source,
 }
 
 void ShardedSpoofDetector::forget(const MacAddress& source) {
-  Shard& shard = *shards_[shard_of(source)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.detector.forget(source);
+  shards_[shard_of(source)].forget(source);
 }
 
 std::optional<TrackerSnapshot> ShardedSpoofDetector::export_tracker(
     const MacAddress& source) const {
-  const Shard& shard = *shards_[shard_of(source)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.detector.export_tracker(source);
+  return shards_[shard_of(source)].export_tracker(source);
 }
 
 void ShardedSpoofDetector::import_tracker(const MacAddress& source,
                                           const TrackerSnapshot& snap) {
-  Shard& shard = *shards_[shard_of(source)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.detector.import_tracker(source, snap);
+  shards_[shard_of(source)].import_tracker(source, snap);
 }
 
 SpoofDetectorStats ShardedSpoofDetector::stats() const {
   SpoofDetectorStats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    const SpoofDetectorStats s = shard->detector.stats();
+  for (const SpoofDetector& shard : shards_) {
+    const SpoofDetectorStats s = shard.stats();
     total.packets += s.packets;
     total.alarms += s.alarms;
     total.tracked_macs += s.tracked_macs;

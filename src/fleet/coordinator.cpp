@@ -1,6 +1,5 @@
 #include "sa/fleet/coordinator.hpp"
 
-#include <functional>
 #include <utility>
 
 #include "sa/capture/writer.hpp"
@@ -94,7 +93,6 @@ FleetCoordinator::FleetCoordinator(FleetConfig config)
     Site& site = sites_.back();
     site.deployment = std::make_unique<BuiltDeployment>(
         build_deployment(site_spec(config_.spec, i), config_.with_sim));
-    site.mu = std::make_unique<std::mutex>();
     EngineConfig engine = site.deployment->engine;
     engine.num_threads = config_.threads_per_site;
     engine.coordinator.spoof_idle_frames = idle_frames_;
@@ -144,77 +142,48 @@ void FleetCoordinator::submit_round(std::uint32_t site,
   sites_[site].session->submit_round(std::move(chunks));
 }
 
-std::mutex& FleetCoordinator::stripe_for(const MacAddress& mac) {
-  return stripes_[std::hash<MacAddress>{}(mac) % stripes_.size()];
-}
-
 HandoffResult FleetCoordinator::notify_association(const MacAddress& mac,
                                                    std::uint32_t dest_site) {
-  std::lock_guard<std::mutex> stripe(stripe_for(mac));
+  std::lock_guard<std::mutex> lock(mu_);
   HandoffResult result;
   result.dest_site = dest_site;
-  {
-    std::lock_guard<std::mutex> st(state_mu_);
-    ++stats_.associations;
-    if (dest_site >= sites_.size()) {
-      ++stats_.handoffs_bad_site;
-      result.outcome = FleetImportOutcome::kBadSite;
-      return result;
-    }
-    const Home* known = home_.find(mac);
-    if (known == nullptr) {
-      // First sighting: home the client here. Nothing to move.
-      home_.get_or_emplace(mac, Home{dest_site, 1});
-      refresh_home_footprint();
-      record_assoc(dest_site, 1, mac);
-      result.source_site = dest_site;
-      result.generation = 1;
-      return result;
-    }
-    result.source_site = known->site;
-    result.generation = known->generation;
-    if (known->site == dest_site) return result;  // already home: no-op
+  ++stats_.associations;
+  if (dest_site >= sites_.size()) {
+    ++stats_.handoffs_bad_site;
+    result.outcome = FleetImportOutcome::kBadSite;
+    return result;
   }
+  const Home* known = home_.find(mac);
+  if (known == nullptr) {
+    // First sighting: home the client here. Nothing to move.
+    home_.get_or_emplace(mac, Home{dest_site, 1});
+    record_assoc(dest_site, 1, mac);
+    result.source_site = dest_site;
+    result.generation = 1;
+    return result;
+  }
+  result.source_site = known->site;
+  result.generation = known->generation;
+  if (known->site == dest_site) return result;  // already home: no-op
 
   // Cross-site migration. Quiesce both dataplanes (wait_idle: every
   // formable round decided, no flush pass — receiver state untouched),
-  // export, then ship under the reliability layer. The stripe lock
-  // keeps this MAC's generation stable across the whole sequence.
+  // export, then ship under the reliability layer.
   const std::uint32_t source_site = result.source_site;
   const std::uint64_t next_gen = result.generation + 1;
   EngineSession& source = *sites_[source_site].session;
-  {
-    std::lock_guard<std::mutex> sm(*sites_[source_site].mu);
-    source.wait_idle();
-  }
-  {
-    std::lock_guard<std::mutex> dm(*sites_[dest_site].mu);
-    sites_[dest_site].session->wait_idle();
-  }
+  source.wait_idle();
+  sites_[dest_site].session->wait_idle();
   FleetClientState msg;
   msg.mac = mac;
   msg.generation = next_gen;
   msg.source_site = source_site;
   msg.dest_site = dest_site;
-  {
-    std::lock_guard<std::mutex> sm(*sites_[source_site].mu);
-    msg.state = source.export_client_state(mac);
-  }
+  msg.state = source.export_client_state(mac);
   result.wire = encode_client_state(msg);
   result.generation = next_gen;
 
-  ReliableLink::SendReport report;
-  {
-    std::lock_guard<std::mutex> tm(transport_mu_);
-    report = link_->send_reliable(result.wire);
-    const ReliableLinkStats& ls = link_->stats();
-    std::lock_guard<std::mutex> st(state_mu_);
-    stats_.retries = ls.retransmits;
-    stats_.timeouts = ls.timeouts;
-    stats_.duplicates_suppressed = ls.duplicates_suppressed;
-    stats_.corrupt_dropped = ls.corrupt_dropped;
-    stats_.stale_acks = ls.stale_acks;
-  }
+  const ReliableLink::SendReport report = link_->send_reliable(result.wire);
   result.attempts = report.attempts;
   result.migrated = true;
   result.outcome = FleetImportOutcome::kApplied;
@@ -227,38 +196,33 @@ HandoffResult FleetCoordinator::notify_association(const MacAddress& mac,
     // restarted — and the home map advances to next_gen so any copy of
     // this export still sitting in the channel is stale on arrival.
     result.transport = HandoffOutcome::kColdStart;
-    std::lock_guard<std::mutex> st(state_mu_);
     ++stats_.cold_starts;
     const Home* now_home = home_.find(mac);
     if (now_home == nullptr || now_home->generation < next_gen) {
       // The data frame never imported (if it had, the generation would
-      // already be next_gen — only this stripe-held call can advance
-      // this MAC). Claim the home; the import path's kAssoc never
-      // fired, so record it here.
+      // already be next_gen — only this call, which holds mu_, can
+      // advance this MAC). Claim the home; the import path's kAssoc
+      // never fired, so record it here.
       Home* home = home_.get_or_emplace(mac, Home{}).value;
       home->site = dest_site;
       home->generation = next_gen;
-      refresh_home_footprint();
       record_assoc(dest_site, next_gen, mac);
     }
   }
   // Either way the client has left the source (keeping its ACL entry,
   // so late frames are judged by signature — not membership).
-  {
-    std::lock_guard<std::mutex> sm(*sites_[source_site].mu);
-    source.forget_client(mac);
-  }
+  source.forget_client(mac);
   record_transport(mac, next_gen, result.transport, result.attempts);
   return result;
 }
 
 FleetImportOutcome FleetCoordinator::apply_handoff(const ByteStream& wire) {
+  std::lock_guard<std::mutex> lock(mu_);
   return apply_wire(wire);
 }
 
 FleetImportOutcome FleetCoordinator::apply_wire(const ByteStream& wire) {
   const auto msg = decode_client_state(wire);
-  std::lock_guard<std::mutex> st(state_mu_);
   if (!msg) {
     ++stats_.handoffs_malformed;
     return FleetImportOutcome::kMalformed;
@@ -272,31 +236,29 @@ FleetImportOutcome FleetCoordinator::apply_wire(const ByteStream& wire) {
     ++stats_.handoffs_stale;
     return FleetImportOutcome::kStale;
   }
-  {
-    std::lock_guard<std::mutex> dm(*sites_[msg->dest_site].mu);
-    sites_[msg->dest_site].session->import_client_state(msg->mac, msg->state);
-  }
+  // On the notify_association path the destination is already idle.
+  EngineSession& dest = *sites_[msg->dest_site].session;
+  dest.wait_idle();
+  dest.import_client_state(msg->mac, msg->state);
   Home* home = home_.get_or_emplace(msg->mac, Home{}).value;
   home->site = msg->dest_site;
   home->generation = msg->generation;
-  refresh_home_footprint();
   ++stats_.handoffs_applied;
   record_assoc(msg->dest_site, msg->generation, msg->mac);
   return FleetImportOutcome::kApplied;
 }
 
 void FleetCoordinator::drain_all() {
+  std::lock_guard<std::mutex> lock(mu_);
   for (Site& site : sites_) site.session->drain();
-  {
-    std::lock_guard<std::mutex> st(state_mu_);
-    ++stats_.drains;
-  }
+  ++stats_.drains;
   if (config_.capture != nullptr && !config_.capture->closed()) {
     config_.capture->record_drain();
   }
 }
 
 void FleetCoordinator::close() {
+  std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return;
   for (Site& site : sites_) site.session->close();
   closed_ = true;
@@ -310,7 +272,7 @@ std::size_t FleetCoordinator::total_decisions() const {
 
 std::optional<std::uint32_t> FleetCoordinator::home_site(
     const MacAddress& mac) const {
-  std::lock_guard<std::mutex> st(state_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   const Home* home = home_.find(mac);
   if (home == nullptr) return std::nullopt;
   return home->site;
@@ -318,25 +280,30 @@ std::optional<std::uint32_t> FleetCoordinator::home_site(
 
 std::optional<std::uint64_t> FleetCoordinator::generation_of(
     const MacAddress& mac) const {
-  std::lock_guard<std::mutex> st(state_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   const Home* home = home_.find(mac);
   if (home == nullptr) return std::nullopt;
   return home->generation;
 }
 
 FleetStats FleetCoordinator::stats() const {
-  std::lock_guard<std::mutex> st(state_mu_);
-  return stats_;
+  std::lock_guard<std::mutex> lock(mu_);
+  FleetStats out = stats_;
+  const ReliableLinkStats& ls = link_->stats();
+  out.retries = ls.retransmits;
+  out.timeouts = ls.timeouts;
+  out.duplicates_suppressed = ls.duplicates_suppressed;
+  out.corrupt_dropped = ls.corrupt_dropped;
+  out.stale_acks = ls.stale_acks;
+  out.home_map_bytes = home_.memory_bytes();
+  out.home_clients = home_.size();
+  return out;
 }
 
 TransportStats FleetCoordinator::transport_stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
   if (!faulty_) return TransportStats{};
   return faulty_->stats();
-}
-
-void FleetCoordinator::refresh_home_footprint() {
-  stats_.home_map_bytes = home_.memory_bytes();
-  stats_.home_clients = home_.size();
 }
 
 void FleetCoordinator::record_assoc(std::uint32_t site,

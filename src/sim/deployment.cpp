@@ -93,8 +93,12 @@ std::optional<DeploymentSpec> deployment_from_header(
   if (!kinds) return std::nullopt;
   spec.policies = *kinds;
   if (const auto bound = header.meta("sa.max_tracked")) {
+    // Every spoof shard needs at least one slot of the bound.
     const auto macs = parse_u64(*bound);
-    if (!macs || *macs == 0 || *macs > kMaxTrackedMacs) return std::nullopt;
+    if (!macs || *macs < EngineConfig{}.num_shards ||
+        *macs > kMaxTrackedMacs) {
+      return std::nullopt;
+    }
     spec.max_tracked_macs = *macs;
   }
   return spec;

@@ -366,6 +366,21 @@ TEST(Replay, RefusesHeadersBeyondTheBuildBound) {
   bounded.max_tracked_macs = kMaxTrackedMacs + 1;
   EXPECT_FALSE(
       deployment_from_header(capture_header_for(bounded)).has_value());
+  // Every spoof shard needs a slot of the bound: one below the shard
+  // count is refused by the header check (so replay reports it instead
+  // of failing at fleet construction), the shard count is accepted.
+  const std::size_t shards = EngineConfig{}.num_shards;
+  bounded.max_tracked_macs = shards - 1;
+  EXPECT_FALSE(
+      deployment_from_header(capture_header_for(bounded)).has_value());
+  const FleetReplayResult too_small =
+      replay_fleet_capture(empty_capture(capture_header_for(bounded)), 1);
+  EXPECT_FALSE(too_small.ok);
+  EXPECT_NE(too_small.error.find("header does not describe"),
+            std::string::npos)
+      << too_small.error;
+  bounded.max_tracked_macs = shards;
+  EXPECT_TRUE(deployment_from_header(capture_header_for(bounded)).has_value());
 
   // The bound is on antennas x subbands over every AP: a 256-AP fleet
   // of 4-antenna, 1-subband APs is exactly at it. Sites are capped too.

@@ -5,10 +5,12 @@
 // regression), total decode of the kTransportData/kAck envelopes
 // (truncation at every prefix, reserved flags, fuzz parity with
 // kClientState), and concurrent handoffs of distinct MACs through a
-// lossy FleetCoordinator — the TSan surface for the striped control
-// plane.
+// lossy FleetCoordinator while another thread reads its counters — the
+// TSan surface for the fleet's control-plane lock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -494,9 +496,10 @@ TEST(TransportWire, FuzzedEnvelopesNeverMisbehave) {
 
 // -------------------------------------- concurrent lossy handoffs
 
-// The TSan surface for the striped control plane: distinct MACs hand
-// off concurrently through one lossy shared link. Convergence must not
-// depend on the interleaving.
+// The TSan surface for the control-plane lock: distinct MACs hand off
+// concurrently through one lossy shared link while a monitor thread
+// reads the fleet and channel counters and the home map. Convergence
+// must not depend on the interleaving.
 TEST(TransportFleet, ConcurrentHandoffsOfDistinctMacsConverge) {
   FleetConfig config;
   config.spec.site.num_aps = 2;
@@ -511,6 +514,20 @@ TEST(TransportFleet, ConcurrentHandoffsOfDistinctMacsConverge) {
   FleetCoordinator fleet(config);
 
   const std::size_t kThreads = 8, kMoves = 4;
+  // The monitor starts first, so it overlaps every handoff.
+  std::atomic<bool> joined{false};
+  std::uint64_t max_seen = 0;
+  bool monotonic = true;
+  std::thread monitor([&] {
+    while (!joined.load(std::memory_order_acquire)) {
+      const std::uint64_t seen = fleet.stats().associations;
+      monotonic = monotonic && seen >= max_seen;
+      max_seen = std::max(max_seen, seen);
+      (void)fleet.transport_stats();
+      (void)fleet.home_site(MacAddress::from_index(1));
+      std::this_thread::yield();
+    }
+  });
   std::vector<std::thread> drivers;
   for (std::size_t t = 0; t < kThreads; ++t) {
     drivers.emplace_back([&fleet, t] {
@@ -523,6 +540,10 @@ TEST(TransportFleet, ConcurrentHandoffsOfDistinctMacsConverge) {
     });
   }
   for (auto& d : drivers) d.join();
+  joined.store(true, std::memory_order_release);
+  monitor.join();
+  EXPECT_TRUE(monotonic);
+  EXPECT_LE(max_seen, kThreads * kMoves);
   fleet.close();
 
   for (std::size_t t = 0; t < kThreads; ++t) {

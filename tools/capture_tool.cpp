@@ -30,8 +30,8 @@
 //                         # mutants replay through the same driver (a
 //                         # mutant whose header no longer parses under
 //                         # the original header); --policies /
-//                         # --max-tracked (<= kMaxTrackedMacs) are
-//                         # written into the replayed header as
+//                         # --max-tracked (num_shards..kMaxTrackedMacs)
+//                         # are written into the replayed header as
 //                         # sa.policies / sa.max_tracked, replacing
 //                         # every site's policy chain / tracked-MAC bound
 //   capture_tool fuzz-wire [--seed S] [--count N] [--ops K]
@@ -889,9 +889,14 @@ int main(int argc, char** argv) {
         }
       } else if (args[i] == "--max-tracked" && i + 1 < args.size()) {
         max_tracked = std::strtoull(args[++i].c_str(), nullptr, 10);
-        if (max_tracked > kMaxTrackedMacs) {
-          std::fprintf(stderr, "capture_tool: --max-tracked above %zu\n",
-                       kMaxTrackedMacs);
+        // 0 keeps each header's bound; any other value must give every
+        // spoof shard a slot, or every mutant fails at fleet construction.
+        const std::size_t shards = EngineConfig{}.num_shards;
+        if (max_tracked > kMaxTrackedMacs ||
+            (max_tracked > 0 && max_tracked < shards)) {
+          std::fprintf(stderr,
+                       "capture_tool: --max-tracked must be 0 or %zu..%zu\n",
+                       shards, kMaxTrackedMacs);
           usage();
         }
       } else if (path.empty() && !args[i].empty() && args[i][0] != '-') {

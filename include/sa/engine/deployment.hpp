@@ -8,11 +8,14 @@
 //   per-AP sample chunks
 //     -> StreamingReceiver::scan        (per AP, on the AP's worker)
 //     -> AccessPoint::demodulate        (per candidate frame, same
-//                                        worker: PHY decode, per-subband
-//                                        covariance and AoA, signature)
+//                                        worker: PHY header decode,
+//                                        per-subband covariance and AoA,
+//                                        signature)
 //     -> StreamingReceiver::commit      (per AP, same worker)
 //     -> group_frame_observations       (the control thread, in round
-//                                        order)
+//                                        order: fuse the APs' views, then
+//                                        decode each frame's DATA once,
+//                                        at its strongest AP)
 //     -> spoof observe + policy chain   (the control thread, same pass,
 //                                        in sequence order)
 //     -> EngineDecision stream
@@ -74,7 +77,10 @@ struct FrameGroup {
 /// Fuse per-AP stream packets into frame groups: packets whose absolute
 /// start samples lie within `slack_samples` of a group's first packet are
 /// the same transmission heard by different APs. Deterministic: groups
-/// are ordered by (start sample, AP index).
+/// are ordered by (start sample, AP index). Each group's
+/// Coordinator::best_observation then gets its DATA decoded
+/// (decode_data), and every other observation's pending DATA samples
+/// are released undecoded: only the best one carries a `phy`/`frame`.
 std::vector<FrameGroup> group_frame_observations(
     std::vector<std::vector<StreamingReceiver::StreamPacket>> per_ap_packets,
     const std::vector<Vec2>& ap_positions, std::size_t slack_samples);

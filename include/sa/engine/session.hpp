@@ -15,16 +15,18 @@
 //
 // Two ownership rules make this deterministic:
 //  - worker w owns APs {i : i mod W == w} — each AP's StreamingReceiver
-//    is touched by exactly one thread, which runs scan -> decode ->
-//    commit to completion in round order. No stream mutex exists. The
-//    per-receiver schedule (commit N before scan N+1) is the lock-step
-//    one StreamingReceiver's push() runs.
+//    is touched by exactly one thread, which runs scan -> demodulate
+//    (PHY header, covariance, AoA) -> commit to completion in round
+//    order. No stream mutex exists. The per-receiver schedule (commit N
+//    before scan N+1) is the lock-step one StreamingReceiver's push()
+//    runs.
 //  - the control thread owns all per-MAC decision state: the session's
 //    one Coordinator (policy chain, ACL, rate windows) and the calls
 //    into the ShardedSpoofDetector. It is the only thread that sees
 //    rounds whole. Each time it wakes it drains the workers' done rings,
 //    then takes every scan-complete round strictly in round order
-//    through one pass — group the round's frames, number them, run the
+//    through one pass — group the round's frames (decoding each one's
+//    DATA symbols once, at its strongest AP), number them, run the
 //    spoof observation and the policy chain on each, hand each decision
 //    to the sink, retire the round — and then forms and dispatches every
 //    round the budget admits. So the decision stream is the serial

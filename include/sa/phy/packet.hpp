@@ -1,7 +1,9 @@
 // Full PHY packet assembly and decode: preamble + SIGNAL + DATA, i.e. an
 // 802.11a/g PPDU at 20 MHz. The transmitter produces baseband I/Q ready
 // for the channel simulator; the receiver decodes samples located by the
-// Schmidl-Cox detector back into a PSDU (the MAC frame bytes).
+// Schmidl-Cox detector back into a PSDU (the MAC frame bytes), in two
+// steps: the header (LTF channel estimate + SIGNAL field, which fixes the
+// PPDU's span) and the DATA symbols.
 #pragma once
 
 #include <optional>
@@ -59,12 +61,21 @@ class PacketTransmitter {
   std::uint8_t scrambler_seed_;
 };
 
+/// What the preamble and SIGNAL field fix about a PPDU before any DATA
+/// symbol is read.
+struct PhyHeader {
+  CVec channel;  ///< per-subcarrier channel estimate from the two LTFs
+  PhyRate rate = PhyRate::k6Mbps;
+  std::size_t length = 0;          ///< PSDU length from SIGNAL
+  std::size_t samples_needed = 0;  ///< preamble + SIGNAL + DATA symbols
+};
+
 struct DecodedPacket {
   Bytes psdu;
   PhyRate rate = PhyRate::k6Mbps;
   std::size_t length = 0;        ///< PSDU length from SIGNAL
   double evm_rms = 0.0;          ///< RMS error vector magnitude over DATA
-  std::size_t samples_consumed = 0;
+  std::size_t samples_consumed = 0;  ///< PhyHeader::samples_needed
 };
 
 /// Receive-side decode. Samples must begin at the packet's first STF
@@ -72,9 +83,22 @@ struct DecodedPacket {
 /// have corrected CFO beforehand (see PacketDetection::cfo_hz).
 class PacketReceiver {
  public:
-  /// Decode a PPDU; nullopt when SIGNAL is invalid or the buffer is
-  /// truncated. FCS validation happens at the MAC layer.
+  /// Decode a PPDU: decode_header, then decode_data. nullopt when either
+  /// fails. FCS validation happens at the MAC layer.
   std::optional<DecodedPacket> decode(const CVec& samples) const;
+
+  /// The LTF channel estimate and the SIGNAL field. nullopt when the
+  /// buffer is shorter than preamble + SIGNAL, the SIGNAL field fails
+  /// its parity, tail, rate or length check, or the buffer ends before
+  /// the span the SIGNAL field announces.
+  std::optional<PhyHeader> decode_header(const CVec& samples) const;
+
+  /// The DATA symbols of a PPDU whose header decoded: equalization,
+  /// EVM, Viterbi, descrambling. `samples` is the buffer the header came
+  /// from, or its first `header.samples_needed` samples. nullopt when
+  /// the scrambler state recovered from the SERVICE bits is zero.
+  std::optional<DecodedPacket> decode_data(const CVec& samples,
+                                           const PhyHeader& header) const;
 };
 
 }  // namespace sa

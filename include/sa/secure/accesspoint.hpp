@@ -4,12 +4,16 @@
 //     -> per-chain impairments (unknown LO phases, §2.2)
 //     -> calibration correction (USRP2-style table)
 //     -> Schmidl-Cox packet detection (§3, on a reference antenna)
+//     -> PHY header decode (LTF channel estimate + SIGNAL field: the
+//        packet's span)
 //     -> per-packet antenna correlation matrix (whole-packet averaging),
 //        optionally split into K frequency subbands (wideband mode)
 //     -> per-band MUSIC pseudospectrum (§2.1) over a shared
 //        SpectralContext (one EVD/inverse per band, reused by every
 //        consumer)
-//     -> AoA + subband signatures + decoded 802.11 frame
+//     -> AoA + subband signatures
+//     -> DATA decode into the 802.11 frame (decode_data): once per
+//        transmission, at the strongest AP, when several APs hear it
 //
 // Applications (virtual fence, spoof detection) consume ReceivedPacket.
 #pragma once
@@ -92,8 +96,20 @@ struct AccessPointConfig {
 /// Everything the AP knows about one received packet.
 struct ReceivedPacket {
   PacketDetection detection;
-  std::optional<DecodedPacket> phy;  ///< nullopt: PHY decode failed
-  std::optional<Frame> frame;        ///< nullopt: bad FCS or no PHY
+  /// The SIGNAL field's decode, which fixes the packet's span; nullopt:
+  /// it failed its checks, or the capture ends inside the packet.
+  std::optional<PhyHeader> header;
+  /// What the DATA decode still needs: the first header->samples_needed
+  /// CFO-corrected reference-antenna samples, owned by the packet. Empty
+  /// once decode_data() has run or the samples were released, and when
+  /// the header failed.
+  CVec data_samples;
+  /// The DATA decode; nullopt until decode_data() has run, or when it
+  /// failed (no header, or a zero scrambler state).
+  std::optional<DecodedPacket> phy;
+  /// The MAC frame in `phy`'s PSDU; nullopt: no DATA decode, or the
+  /// frame failed its FCS check.
+  std::optional<Frame> frame;
   /// The centre band's estimate (the full band when subbands == 1).
   MusicResult music;
   /// Full-band signature: the single band's, or the fused mean of the
@@ -109,6 +125,14 @@ struct ReceivedPacket {
   std::vector<double> bearing_world_deg;
 };
 
+/// The DATA step: decode `pkt.data_samples` against `pkt.header`
+/// (PacketReceiver::decode_data), parse the MAC frame from the PSDU,
+/// fill `phy` and `frame`, and release the samples. A no-op on a packet
+/// with nothing pending. group_frame_observations runs it once per
+/// transmission, at the strongest AP; AccessPoint::receive and
+/// StreamingReceiver::push/flush run it on every packet they return.
+void decode_data(ReceivedPacket& pkt);
+
 class AccessPoint {
  public:
   /// Constructs the AP with freshly drawn chain impairments and runs the
@@ -118,7 +142,8 @@ class AccessPoint {
   /// Process a block of *channel-ideal* per-antenna samples (rows =
   /// antennas): the AP first applies its own chain impairments, then its
   /// calibration table, then detection/decoding/AoA. Equivalent to
-  /// condition() + detect() + demodulate() per detection.
+  /// condition() + detect() + demodulate() and decode_data() per
+  /// detection.
   std::vector<ReceivedPacket> receive(const CMat& channel_samples);
 
   // The receive pipeline split into its three phases so callers (the
@@ -153,11 +178,13 @@ class AccessPoint {
     std::vector<CMat> sub;
   };
 
-  /// Decode + covariance + AoA for one detection inside a conditioned
-  /// buffer. nullopt when the capture is truncated too hard to process.
-  /// Equivalent to prepare() + estimate_band() per band + assemble(),
-  /// run serially. `scratch`, when non-null, is reused for the frame's
-  /// temporary buffers instead of allocating.
+  /// Header decode + covariance + AoA for one detection inside a
+  /// conditioned buffer. nullopt when the capture is truncated too hard
+  /// to process. The packet's DATA symbols are left pending
+  /// (`data_samples`) for decode_data(). Equivalent to prepare() +
+  /// estimate_band() per band + assemble(), run serially. `scratch`,
+  /// when non-null, is reused for the frame's temporary buffers instead
+  /// of allocating.
   std::optional<ReceivedPacket> demodulate(const CMat& conditioned,
                                            const PacketDetection& det,
                                            FrameScratch* scratch = nullptr) const;
@@ -168,24 +195,27 @@ class AccessPoint {
   // different frames/bands; a single FramePrep's contexts each belong to
   // one band's estimate at a time.
 
-  /// Everything demodulation derives before the AoA estimates: the
-  /// decode results and one SpectralContext per subband (one for the
-  /// whole band when subbands == 1, or when the capture is too short to
-  /// split). The contexts borrow this AP's steering manifolds, so a
-  /// FramePrep must not outlive the AccessPoint that prepared it.
+  /// Everything demodulation derives before the AoA estimates: the PHY
+  /// header, the DATA samples it leaves pending (as in ReceivedPacket),
+  /// and one SpectralContext per subband (one for the whole band when
+  /// subbands == 1, or when the capture is too short to split). The
+  /// contexts borrow this AP's steering manifolds, so a FramePrep must
+  /// not outlive the AccessPoint that prepared it.
   struct FramePrep {
     PacketDetection detection;
-    std::optional<DecodedPacket> phy;
-    std::optional<Frame> frame;
+    std::optional<PhyHeader> header;
+    CVec data_samples;
     /// Per-subband contexts in ascending subband-frequency order.
     std::vector<SpectralContext> bands;
   };
 
-  /// Stage 1: PHY decode + per-band covariance contexts. nullopt when
-  /// the capture is truncated too hard to process. The packet's
+  /// Stage 1: PHY header decode + per-band covariance contexts over the
+  /// span the header fixes (preamble + SIGNAL when it fails). nullopt
+  /// when the capture is truncated too hard to process. The packet's
   /// covariance is accumulated straight off `conditioned` (no block
   /// copy); `scratch` additionally reuses the decode slice and subband
-  /// matrices across frames.
+  /// matrices across frames, and the pending DATA samples are a copy,
+  /// never a view into it.
   std::optional<FramePrep> prepare(const CMat& conditioned,
                                    const PacketDetection& det,
                                    FrameScratch* scratch = nullptr) const;

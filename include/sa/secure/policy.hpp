@@ -177,14 +177,15 @@ class PolicyChain {
 
 // ------------------------------------------------------------- policies
 
-/// Drops frames no AP decoded (bad FCS / PHY failure). Always the first
-/// link in any chain the Coordinator builds: later policies may assume
-/// a decoded source MAC.
+/// Drops frames whose strongest AP's copy (the context's best
+/// observation, the only one whose DATA is decoded) failed its PHY
+/// decode or its FCS check. Always the first link in any chain the
+/// Coordinator builds: later policies may assume a decoded source MAC.
 class DecodePolicy final : public SecurityPolicy {
  public:
   static constexpr std::string_view kName = "decode";
   static constexpr std::string_view kDetailUndecodable =
-      "no AP decoded a valid frame (FCS)";
+      "the strongest AP's frame failed its PHY decode or FCS check";
 
   std::string_view name() const override { return kName; }
   PolicyVerdict evaluate(FrameContext& ctx) override;

@@ -36,10 +36,11 @@ struct StreamingConfig {
   /// A detection this close to the buffer end is deferred until more
   /// samples arrive (the packet may be truncated mid-air).
   std::size_t tail_guard = 480;
-  /// A detection whose PHY decode fails is retried until this many
-  /// samples have accumulated past its start (the decode may have failed
-  /// only because the packet is still arriving); after that it is
-  /// emitted as undecodable. Must be < history_samples.
+  /// A detection is emitted once its SIGNAL field decodes and the whole
+  /// span it announces is buffered. Otherwise it is retried until this
+  /// many samples have accumulated past its start (the packet may still
+  /// be arriving); after that it is emitted with the preamble+SIGNAL
+  /// span. Must be < history_samples.
   std::size_t max_packet_samples = 4800;
 };
 
@@ -50,7 +51,8 @@ class StreamingReceiver {
   StreamingReceiver(AccessPoint& ap, StreamingConfig config = {});
 
   /// Feed the next contiguous chunk (rows = antennas). Returns packets
-  /// newly completed, each stamped with its absolute start sample.
+  /// newly completed, each stamped with its absolute start sample and
+  /// with its DATA decoded (decode_data).
   struct StreamPacket {
     std::size_t absolute_start = 0;
     ReceivedPacket packet;
@@ -62,10 +64,12 @@ class StreamingReceiver {
   std::vector<StreamPacket> flush();
 
   // --- Two-phase variant, for callers that schedule the per-frame work
-  // themselves (the EngineSession worker owning this AP decodes the
+  // themselves (the EngineSession worker owning this AP demodulates the
   // candidates with its own scratch). push(chunk) == scan(&chunk) +
-  // demodulate each candidate + commit(..., false); flush() == the same
-  // with nullptr/true.
+  // demodulate each candidate + commit(..., false) + decode_data on each
+  // emitted packet; flush() == the same with nullptr/true. Packets
+  // commit emits still hold their DATA samples pending: the caller
+  // decodes them (group_frame_observations does, once per transmission).
   //
   // Commit-behind: a Scan captures its own absolute coordinates (base,
   // seen) and commit's emit/defer arithmetic uses *those*, not the live
@@ -140,6 +144,8 @@ class StreamingReceiver {
   }
 
  private:
+  /// push() (chunk, false) and flush() (nullptr, true).
+  std::vector<StreamPacket> run_pass(const CMat* chunk, bool final_pass);
   void trim();
 
   AccessPoint& ap_;

@@ -36,6 +36,19 @@ std::vector<FrameGroup> group_frame_observations(
     groups.back().observations.push_back(
         {ap_positions[e.ap_index], std::move(e.packet)});
   }
+  // One DATA decode per transmission: a decision reads only the
+  // strongest AP's frame, so the other APs' pending samples are freed
+  // undecoded.
+  for (FrameGroup& g : groups) {
+    const ApObservation& best = Coordinator::best_observation(g.observations);
+    for (ApObservation& o : g.observations) {
+      if (&o == &best) {
+        decode_data(o.packet);
+      } else {
+        o.packet.data_samples = CVec();
+      }
+    }
+  }
   return groups;
 }
 

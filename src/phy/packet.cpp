@@ -1,6 +1,7 @@
 #include "sa/phy/packet.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "sa/common/error.hpp"
 #include "sa/phy/interleaver.hpp"
@@ -28,6 +29,12 @@ const RateInfo kRates[] = {
     {Modulation::kQam64, CodeRate::kRate3_4, 6, 288, 216, 0x0C},// 54
 };
 
+/// DATA OFDM symbols carrying SERVICE + `length` PSDU bytes + tail.
+std::size_t data_symbols(const RateInfo& ri, std::size_t length) {
+  const std::size_t payload_bits = kServiceBits + 8 * length + kTailBits;
+  return (payload_bits + ri.n_dbps - 1) / ri.n_dbps;
+}
+
 }  // namespace
 
 const RateInfo& rate_info(PhyRate rate) {
@@ -49,9 +56,7 @@ PacketTransmitter::PacketTransmitter(PhyRate rate, std::uint8_t scrambler_seed)
 }
 
 std::size_t PacketTransmitter::num_data_symbols(std::size_t length) const {
-  const RateInfo& ri = rate_info(rate_);
-  const std::size_t payload_bits = kServiceBits + 8 * length + kTailBits;
-  return (payload_bits + ri.n_dbps - 1) / ri.n_dbps;
+  return data_symbols(rate_info(rate_), length);
 }
 
 CVec PacketTransmitter::transmit(const Bytes& psdu) const {
@@ -111,6 +116,13 @@ CVec PacketTransmitter::transmit(const Bytes& psdu) const {
 }
 
 std::optional<DecodedPacket> PacketReceiver::decode(const CVec& samples) const {
+  const auto header = decode_header(samples);
+  if (!header) return std::nullopt;
+  return decode_data(samples, *header);
+}
+
+std::optional<PhyHeader> PacketReceiver::decode_header(
+    const CVec& samples) const {
   // Minimum: preamble + SIGNAL.
   if (samples.size() < kPreambleLen + kSymbolLen) return std::nullopt;
 
@@ -120,7 +132,7 @@ std::optional<DecodedPacket> PacketReceiver::decode(const CVec& samples) const {
                 samples.begin() + static_cast<std::ptrdiff_t>(ltf1 + kFftSize));
   const CVec p2(samples.begin() + static_cast<std::ptrdiff_t>(ltf1 + kFftSize),
                 samples.begin() + static_cast<std::ptrdiff_t>(ltf1 + 2 * kFftSize));
-  const CVec channel = estimate_channel_from_ltf(p1, p2);
+  CVec channel = estimate_channel_from_ltf(p1, p2);
 
   // ---- SIGNAL.
   const std::size_t signal_at = kPreambleLen;
@@ -151,11 +163,26 @@ std::optional<DecodedPacket> PacketReceiver::decode(const CVec& samples) const {
   }
   if (length == 0 || length > kMaxPsduBytes) return std::nullopt;
 
-  const RateInfo& ri = rate_info(*rate);
-  const std::size_t payload_bits = kServiceBits + 8 * length + kTailBits;
-  const std::size_t n_sym = (payload_bits + ri.n_dbps - 1) / ri.n_dbps;
-  const std::size_t need = kPreambleLen + kSymbolLen + n_sym * kSymbolLen;
+  const std::size_t need =
+      kPreambleLen + kSymbolLen +
+      data_symbols(rate_info(*rate), length) * kSymbolLen;
   if (samples.size() < need) return std::nullopt;
+
+  PhyHeader header;
+  header.channel = std::move(channel);
+  header.rate = *rate;
+  header.length = length;
+  header.samples_needed = need;
+  return header;
+}
+
+std::optional<DecodedPacket> PacketReceiver::decode_data(
+    const CVec& samples, const PhyHeader& header) const {
+  SA_EXPECTS(samples.size() >= header.samples_needed);
+  const RateInfo& ri = rate_info(header.rate);
+  const std::size_t length = header.length;
+  const CVec& channel = header.channel;
+  const std::size_t n_sym = data_symbols(ri, length);
 
   // ---- DATA symbols.
   Bits coded;
@@ -202,10 +229,10 @@ std::optional<DecodedPacket> PacketReceiver::decode(const CVec& samples) const {
                                            kServiceBits + 8 * length));
   DecodedPacket out;
   out.psdu = bits_to_bytes(psdu_bits);
-  out.rate = *rate;
+  out.rate = header.rate;
   out.length = length;
   out.evm_rms = evm_n > 0 ? std::sqrt(evm_acc / static_cast<double>(evm_n)) : 0.0;
-  out.samples_consumed = need;
+  out.samples_consumed = header.samples_needed;
   return out;
 }
 

@@ -54,6 +54,14 @@ double band_snr_weight(const SpectralContext& ctx, std::size_t num_sources) {
 
 }  // namespace
 
+void decode_data(ReceivedPacket& pkt) {
+  if (pkt.data_samples.empty()) return;
+  SA_EXPECTS(pkt.header.has_value());
+  pkt.phy = PacketReceiver().decode_data(pkt.data_samples, *pkt.header);
+  if (pkt.phy) pkt.frame = Frame::parse(pkt.phy->psdu);
+  pkt.data_samples = CVec();
+}
+
 AccessPoint::AccessPoint(AccessPointConfig config, Rng& rng)
     : config_(std::move(config)),
       impairments_(ArrayImpairments::random(config_.geometry.size(), rng,
@@ -166,25 +174,31 @@ std::optional<AccessPoint::FramePrep> AccessPoint::prepare(
   FramePrep prep;
   prep.detection = det;
 
-  // PHY decode from the reference antenna with CFO corrected. CMat is
-  // row-major, so row 0 is the contiguous prefix of data(): slice the
-  // tail directly rather than materializing the whole row per candidate.
+  // PHY header decode from the reference antenna with CFO corrected.
+  // CMat is row-major, so row 0 is the contiguous prefix of data():
+  // slice the tail directly rather than materializing the whole row per
+  // candidate. The DATA symbols are decoded later, and only at the AP
+  // whose frame a decision reads (decode_data), so the packet keeps its
+  // own copy of the span they lie in.
   const CVec& flat = conditioned.data();
   CVec local_aligned;
   CVec& aligned = scratch ? scratch->aligned : local_aligned;
   aligned.assign(flat.begin() + static_cast<std::ptrdiff_t>(det.start),
                  flat.begin() + static_cast<std::ptrdiff_t>(conditioned.cols()));
   apply_cfo(aligned, -det.cfo_hz, config_.sample_rate_hz);
-  prep.phy = phy_rx_.decode(aligned);
-  if (prep.phy) {
-    prep.frame = Frame::parse(prep.phy->psdu);
+  prep.header = phy_rx_.decode_header(aligned);
+  if (prep.header) {
+    prep.data_samples.assign(
+        aligned.begin(),
+        aligned.begin() +
+            static_cast<std::ptrdiff_t>(prep.header->samples_needed));
   }
 
   // Covariance over the whole packet (paper §3: mean phase differences
   // over each entire packet). A scalar per-snapshot CFO rotation leaves
   // x x^H unchanged, so no CFO correction is needed here.
-  const std::size_t span = prep.phy
-                               ? prep.phy->samples_consumed
+  const std::size_t span = prep.header
+                               ? prep.header->samples_needed
                                : kPreambleLen + kSymbolLen;  // fallback
   const std::size_t end = std::min(det.start + span, conditioned.cols());
   if (end <= det.start + kPreambleLen / 2) {
@@ -246,8 +260,8 @@ ReceivedPacket AccessPoint::assemble(
   SA_EXPECTS(band_results.size() == prep.bands.size());
   ReceivedPacket pkt;
   pkt.detection = prep.detection;
-  pkt.phy = std::move(prep.phy);
-  pkt.frame = std::move(prep.frame);
+  pkt.header = std::move(prep.header);
+  pkt.data_samples = std::move(prep.data_samples);
 
   std::vector<AoaSignature> band_sigs;
   band_sigs.reserve(band_results.size());
@@ -325,6 +339,7 @@ std::vector<ReceivedPacket> AccessPoint::receive(const CMat& channel_samples) {
   out.reserve(detections.size());
   for (const auto& det : detections) {
     if (auto pkt = demodulate(x, det)) {
+      decode_data(*pkt);
       out.push_back(std::move(*pkt));
     }
   }

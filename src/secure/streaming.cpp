@@ -86,18 +86,19 @@ std::vector<StreamingReceiver::StreamPacket> StreamingReceiver::commit(
     if (!processed[i]) continue;  // truncated capture: retried next scan
     ReceivedPacket& pkt = *processed[i];
 
-    // A successful decode proves the whole packet was in the buffer (the
-    // PHY checks the SIGNAL length fits and the MAC FCS verifies), so it
-    // is emitted immediately. A failed decode may just mean the packet
-    // is still arriving: retry until max_packet_samples have accumulated
-    // past the detection, then emit it as genuinely undecodable. All of
+    // Emit once the SIGNAL field decodes and the whole span it announces
+    // is in the buffer (PacketReceiver::decode_header checks both); the
+    // packet then ends where that span does. Otherwise the packet may
+    // still be arriving: retry it until max_packet_samples have
+    // accumulated past the detection, then emit it with the
+    // preamble+SIGNAL span. No DATA or FCS result is read here. All of
     // this is computed in the scan's own absolute coordinates, so a
     // commit applied behind a later scan behaves exactly as it would
     // have lock-step.
     const std::size_t projected_end =
         cand.absolute_start +
-        (pkt.phy ? pkt.phy->samples_consumed : kPreambleLen + kSymbolLen);
-    if (!final_pass && !pkt.phy &&
+        (pkt.header ? pkt.header->samples_needed : kPreambleLen + kSymbolLen);
+    if (!final_pass && !pkt.header &&
         cand.absolute_start + config_.max_packet_samples > scan.seen) {
       continue;
     }
@@ -117,23 +118,24 @@ std::vector<StreamingReceiver::StreamPacket> StreamingReceiver::commit(
 
 std::vector<StreamingReceiver::StreamPacket> StreamingReceiver::push(
     const CMat& chunk) {
-  Scan s = scan(&chunk);
-  std::vector<std::optional<ReceivedPacket>> processed;
-  processed.reserve(s.candidates.size());
-  for (const auto& cand : s.candidates) {
-    processed.push_back(ap_.demodulate(*s.conditioned, cand.detection));
-  }
-  return commit(s, std::move(processed), /*final_pass=*/false);
+  return run_pass(&chunk, /*final_pass=*/false);
 }
 
 std::vector<StreamingReceiver::StreamPacket> StreamingReceiver::flush() {
-  Scan s = scan(nullptr);
+  return run_pass(nullptr, /*final_pass=*/true);
+}
+
+std::vector<StreamingReceiver::StreamPacket> StreamingReceiver::run_pass(
+    const CMat* chunk, bool final_pass) {
+  Scan s = scan(chunk);
   std::vector<std::optional<ReceivedPacket>> processed;
   processed.reserve(s.candidates.size());
   for (const auto& cand : s.candidates) {
     processed.push_back(ap_.demodulate(*s.conditioned, cand.detection));
   }
-  return commit(s, std::move(processed), /*final_pass=*/true);
+  std::vector<StreamPacket> out = commit(s, std::move(processed), final_pass);
+  for (StreamPacket& p : out) decode_data(p.packet);
+  return out;
 }
 
 void StreamingReceiver::trim() {

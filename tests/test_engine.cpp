@@ -1,15 +1,20 @@
 // Tests for the cross-AP frame grouping in sa/engine/deployment.hpp:
 // group_frame_observations must fuse detections that start within the
 // slack of a group's first detection, anchor the window at that first
-// detection, and order views by (start sample, AP index). The engine
-// decision stream that this grouping feeds is tested end to end in
-// test_session.cpp.
+// detection, order views by (start sample, AP index), and decode each
+// frame's DATA once, at its strongest AP. The engine decision stream
+// that this grouping feeds is tested end to end in test_session.cpp.
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
+#include "sa/channel/raytracer.hpp"
+#include "sa/channel/simulator.hpp"
+#include "sa/common/rng.hpp"
 #include "sa/engine/deployment.hpp"
+#include "sa/mac/frame.hpp"
+#include "sa/phy/packet.hpp"
 
 namespace sa {
 namespace {
@@ -89,6 +94,62 @@ TEST(Engine, GroupingInterleavedApOrderIsDeterministic) {
   EXPECT_EQ(groups[1].observations[1].ap_position.x, 10.0);
   EXPECT_EQ(groups[1].observations[2].ap_position.x, 0.0);
   EXPECT_EQ(groups[2].absolute_start, 510u);
+}
+
+TEST(Engine, GroupingDecodesDataOnlyAtTheBestObservation) {
+  // One transmission demodulated at four APs: each packet leaves
+  // demodulate with its header decoded and its DATA samples pending.
+  // Grouping decodes the strongest AP's copy and frees the others'.
+  Rng rng(5);
+  const Floorplan empty;
+  const RayTracer tracer;
+  const ChannelSimulator sim([] {
+    ChannelConfig ch;
+    ch.noise_power = 1e-6;
+    return ch;
+  }());
+  const Vec2 client{3.0, 4.0};
+  const Frame frame = Frame::data(MacAddress::from_index(1),
+                                  MacAddress::from_index(2), Bytes{5, 6, 7}, 11);
+  const CVec wave =
+      PacketTransmitter(PhyRate::k6Mbps).transmit(frame.serialize());
+  const std::vector<Vec2> positions{
+      {0.0, 0.0}, {10.0, 0.0}, {0.0, 10.0}, {10.0, 10.0}};
+  std::vector<std::vector<StreamPacket>> per_ap(positions.size());
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    AccessPointConfig cfg;
+    cfg.position = positions[i];
+    const AccessPoint ap(cfg, rng);
+    const CMat x = ap.condition(sim.propagate(
+        wave, tracer.trace(client, positions[i], empty), ap.placement(), rng));
+    const auto dets = ap.detect(x);
+    ASSERT_EQ(dets.size(), 1u);
+    auto pkt = ap.demodulate(x, dets[0]);
+    ASSERT_TRUE(pkt.has_value());
+    ASSERT_TRUE(pkt->header.has_value());
+    EXPECT_EQ(pkt->data_samples.size(), pkt->header->samples_needed);
+    EXPECT_FALSE(pkt->frame.has_value());
+    StreamPacket sp;
+    sp.absolute_start = dets[0].start;
+    sp.packet = std::move(*pkt);
+    per_ap[i].push_back(std::move(sp));
+  }
+
+  const auto groups =
+      group_frame_observations(std::move(per_ap), positions, 1600);
+  ASSERT_EQ(groups.size(), 1u);
+  const std::vector<ApObservation>& obs = groups[0].observations;
+  ASSERT_EQ(obs.size(), 4u);
+  const ApObservation& best = Coordinator::best_observation(obs);
+  for (const ApObservation& o : obs) {
+    EXPECT_EQ(o.packet.frame.has_value(), &o == &best);
+    EXPECT_EQ(o.packet.phy.has_value(), &o == &best);
+    EXPECT_TRUE(o.packet.data_samples.empty());
+    EXPECT_EQ(o.packet.data_samples.capacity(), 0u);
+  }
+  ASSERT_TRUE(best.packet.frame.has_value());
+  EXPECT_EQ(best.packet.frame->addr2, MacAddress::from_index(2));
+  EXPECT_EQ(best.packet.frame->sequence, 11);
 }
 
 }  // namespace

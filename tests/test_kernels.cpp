@@ -6,9 +6,10 @@
 // per-grid-point steering_vector + quadratic_form, the inline twiddle
 // recurrence, per-window fft_inplace, the per-step vector Viterbi, the
 // modulo-wrapped peak walk, the per-position LTF search and the
-// forward P/R chain. Every comparison is exact (EXPECT_EQ on doubles):
-// the tables and loop orders may only save work, never change a bit of
-// output.
+// forward P/R chain. The PHY decode's header and DATA steps are checked
+// against the one-call decode the same way. Every comparison is exact
+// (EXPECT_EQ on doubles): the tables and loop orders may only save work,
+// never change a bit of output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "sa/aoa/covariance.hpp"
 #include "sa/aoa/estimator.hpp"
@@ -26,11 +28,13 @@
 #include "sa/common/constants.hpp"
 #include "sa/common/rng.hpp"
 #include "sa/dsp/fft.hpp"
+#include "sa/dsp/noise.hpp"
 #include "sa/dsp/units.hpp"
 #include "sa/linalg/lu.hpp"
 #include "sa/phy/convolutional.hpp"
 #include "sa/phy/detector.hpp"
 #include "sa/phy/ofdm.hpp"
+#include "sa/phy/packet.hpp"
 #include "sa/secure/accesspoint.hpp"
 
 namespace sa {
@@ -313,7 +317,7 @@ TEST(FftPlans, AccessPointSubbandSplitMatchesPerWindowFft) {
     det.start = 37;
     const auto prep = ap.prepare(conditioned, det);
     ASSERT_TRUE(prep.has_value());
-    ASSERT_FALSE(prep->phy.has_value());  // noise: the fallback span
+    ASSERT_FALSE(prep->header.has_value());  // noise: the fallback span
     ASSERT_EQ(prep->bands.size(), k);
     // The split as written before: copy each window, fft_inplace it,
     // scatter in fftshift order.
@@ -458,6 +462,116 @@ TEST(FlatViterbi, BitIdenticalToPerStepDecoder) {
     }
   }
   EXPECT_EQ(decoded, 96u);
+}
+
+// ---------------------------------------------------------- PHY decode
+
+/// decode(s) against decode_header(s) then decode_data: the same packet
+/// field for field, or nullopt on both sides. decode_data also runs on
+/// the header's own span alone — the copy an AccessPoint keeps pending.
+void expect_split_decode_matches(const CVec& s) {
+  const PacketReceiver rx;
+  const auto whole = rx.decode(s);
+  const auto header = rx.decode_header(s);
+  if (!header) {
+    EXPECT_FALSE(whole.has_value());
+    return;
+  }
+  ASSERT_LE(header->samples_needed, s.size());
+  const CVec span(s.begin(),
+                  s.begin() + static_cast<std::ptrdiff_t>(header->samples_needed));
+  for (const CVec* input : {&s, &span}) {
+    const auto split = rx.decode_data(*input, *header);
+    ASSERT_EQ(split.has_value(), whole.has_value());
+    if (!whole) continue;
+    EXPECT_EQ(split->psdu, whole->psdu);
+    EXPECT_EQ(split->rate, whole->rate);
+    EXPECT_EQ(split->length, whole->length);
+    EXPECT_EQ(split->evm_rms, whole->evm_rms);
+    EXPECT_EQ(split->samples_consumed, whole->samples_consumed);
+  }
+  if (whole) {
+    EXPECT_EQ(header->rate, whole->rate);
+    EXPECT_EQ(header->length, whole->length);
+    EXPECT_EQ(header->samples_needed, whole->samples_consumed);
+  }
+}
+
+Bytes random_psdu(std::size_t n, Rng& rng) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  return out;
+}
+
+constexpr PhyRate kAllRates[] = {
+    PhyRate::k6Mbps,  PhyRate::k9Mbps,  PhyRate::k12Mbps, PhyRate::k18Mbps,
+    PhyRate::k24Mbps, PhyRate::k36Mbps, PhyRate::k48Mbps, PhyRate::k54Mbps};
+
+TEST(SplitDecode, HeaderThenDataEqualsDecodeAtEveryRate) {
+  // Clean, then noisier down to -8 dB, where the SIGNAL field fails.
+  Rng rng(2024);
+  std::size_t decoded = 0, header_failed = 0;
+  for (PhyRate rate : kAllRates) {
+    SCOPED_TRACE("rate=" + std::to_string(static_cast<int>(rate)));
+    const CVec clean = PacketTransmitter(rate).transmit(random_psdu(40, rng));
+    expect_split_decode_matches(clean);
+    for (double snr_db : {30.0, 12.0, 4.0, -8.0}) {
+      SCOPED_TRACE("snr=" + std::to_string(snr_db));
+      CVec s = clean;
+      add_awgn_snr(s, snr_db, rng);
+      expect_split_decode_matches(s);
+      if (PacketReceiver().decode(s)) ++decoded;
+      if (!PacketReceiver().decode_header(s)) ++header_failed;
+    }
+  }
+  EXPECT_GE(decoded, 8u);  // every 30 dB input decodes
+  EXPECT_GT(header_failed, 0u);
+}
+
+TEST(SplitDecode, EveryTruncationUpToTheSignalSpan) {
+  // From one sample short of preamble + SIGNAL up to the span the SIGNAL
+  // field asks for: the header fails until the whole span is there, and
+  // the split agrees with decode() at every length.
+  Rng rng(2025);
+  for (PhyRate rate : kAllRates) {
+    SCOPED_TRACE("rate=" + std::to_string(static_cast<int>(rate)));
+    const PacketTransmitter tx(rate);
+    const CVec wave = tx.transmit(random_psdu(40, rng));
+    const std::size_t need = kPreambleLen + kSymbolLen * (1 + tx.num_data_symbols(40));
+    ASSERT_EQ(need, wave.size());
+    for (std::size_t len = kPreambleLen + kSymbolLen - 1; len <= need; ++len) {
+      const CVec cut(wave.begin(), wave.begin() + static_cast<std::ptrdiff_t>(len));
+      ASSERT_EQ(PacketReceiver().decode_header(cut).has_value(), len == need)
+          << "len=" << len;
+      expect_split_decode_matches(cut);
+    }
+  }
+}
+
+TEST(SplitDecode, ZeroScramblerStateFailsOnlyTheDataStep) {
+  // A valid preamble and SIGNAL field over noise DATA symbols: at the
+  // first seed whose descrambled SERVICE bits give scrambler state 0,
+  // the header decodes and the DATA step fails, exactly as decode() does.
+  Rng psdu_rng(2026);
+  const CVec wave =
+      PacketTransmitter(PhyRate::k6Mbps).transmit(random_psdu(40, psdu_rng));
+  const double power = mean_power(wave);
+  const PacketReceiver rx;
+  std::optional<std::uint64_t> found;
+  for (std::uint64_t seed = 1; seed <= 4096 && !found; ++seed) {
+    Rng rng(seed);
+    CVec s = wave;
+    for (std::size_t i = kPreambleLen + kSymbolLen; i < s.size(); ++i) {
+      s[i] = rng.complex_normal(power);
+    }
+    const auto header = rx.decode_header(s);
+    ASSERT_TRUE(header.has_value());
+    if (rx.decode_data(s, *header)) continue;
+    found = seed;
+    EXPECT_FALSE(rx.decode(s).has_value());
+    expect_split_decode_matches(s);
+  }
+  ASSERT_TRUE(found.has_value());
 }
 
 // --------------------------------------------------------- peak search

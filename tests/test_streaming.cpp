@@ -211,7 +211,8 @@ TEST(Streaming, RejectsInvalidConfig) {
 
 TEST(Streaming, TwoPhaseScanCommitMatchesPush) {
   // The engine's split API must behave exactly like push(): same packet,
-  // same signature, same watermark bookkeeping.
+  // same signature, same watermark bookkeeping. push() also runs the
+  // DATA step on what commit emits; the hand-driven path does it here.
   StreamRig rig;
   const CMat cap = rig.capture(500, 4);
 
@@ -226,9 +227,11 @@ TEST(Streaming, TwoPhaseScanCommitMatchesPush) {
   for (const auto& cand : scan.candidates) {
     processed.push_back(rig.ap.demodulate(*scan.conditioned, cand.detection));
   }
-  const auto committed =
+  auto committed =
       two_phase.commit(scan, std::move(processed), /*final_pass=*/false);
   ASSERT_EQ(committed.size(), 1u);
+  EXPECT_FALSE(committed[0].packet.frame.has_value());  // DATA pending
+  decode_data(committed[0].packet);
   EXPECT_EQ(committed[0].absolute_start, pushed[0].absolute_start);
   ASSERT_TRUE(committed[0].packet.frame.has_value());
   EXPECT_EQ(committed[0].packet.frame->sequence, 4);
@@ -268,6 +271,7 @@ TEST(Streaming, CommitBehindScheduleEmitsIdenticalStream) {
   // Commit-behind: every scan runs first, then the commits land behind
   // them in order. Candidates an earlier commit has emitted by commit
   // time are handed in as nullopt, after a check against the watermark.
+  // Each emitted packet then gets the DATA step push() runs.
   std::vector<StreamingReceiver::StreamPacket> emitted;
   {
     StreamingReceiver rx(rig.ap);
@@ -285,6 +289,7 @@ TEST(Streaming, CommitBehindScheduleEmitsIdenticalStream) {
       }
       const bool final_pass = s + 1 == scans.size();
       for (auto& p : rx.commit(scans[s], std::move(processed), final_pass)) {
+        decode_data(p.packet);
         emitted.push_back(std::move(p));
       }
     }
@@ -310,9 +315,9 @@ TEST(Streaming, CommitBehindScheduleEmitsIdenticalStream) {
 /// Bit-exact replica of the pre-incremental receiver: grow-copy the raw
 /// buffer on append, re-run AccessPoint::condition over the whole
 /// history every scan, full detection at the window's absolute origin,
-/// full-copy snapshot and trim. This is the oracle the ring-buffer /
-/// incremental scan path must match byte for byte on every chunk
-/// schedule.
+/// full-copy snapshot and trim; push/flush run the DATA step on what
+/// they emit. This is the oracle the ring-buffer / incremental scan path
+/// must match byte for byte on every chunk schedule.
 class LegacyReceiver {
  public:
   LegacyReceiver(AccessPoint& ap, StreamingConfig config)
@@ -361,8 +366,8 @@ class LegacyReceiver {
       ReceivedPacket& pkt = *processed[i];
       const std::size_t projected_end =
           cand.absolute_start +
-          (pkt.phy ? pkt.phy->samples_consumed : kPreambleLen + kSymbolLen);
-      if (!final_pass && !pkt.phy &&
+          (pkt.header ? pkt.header->samples_needed : kPreambleLen + kSymbolLen);
+      if (!final_pass && !pkt.header &&
           cand.absolute_start + config_.max_packet_samples > scan.seen) {
         continue;
       }
@@ -394,7 +399,9 @@ class LegacyReceiver {
     for (const auto& cand : s.candidates) {
       processed.push_back(ap_.demodulate(*s.conditioned, cand.detection));
     }
-    return commit(s, std::move(processed), false);
+    auto out = commit(s, std::move(processed), false);
+    for (auto& p : out) decode_data(p.packet);
+    return out;
   }
 
   std::vector<StreamingReceiver::StreamPacket> flush() {
@@ -403,7 +410,9 @@ class LegacyReceiver {
     for (const auto& cand : s.candidates) {
       processed.push_back(ap_.demodulate(*s.conditioned, cand.detection));
     }
-    return commit(s, std::move(processed), true);
+    auto out = commit(s, std::move(processed), true);
+    for (auto& p : out) decode_data(p.packet);
+    return out;
   }
 
   std::size_t emit_watermark() const { return emit_watermark_; }
@@ -433,7 +442,13 @@ void expect_packets_bit_identical(
     EXPECT_EQ(g.detection.metric, w.detection.metric);
     EXPECT_EQ(g.detection.cfo_hz, w.detection.cfo_hz);
     EXPECT_EQ(g.detection.fine_peak, w.detection.fine_peak);
-    // Decode and AoA results bit-exact.
+    // Decode and AoA results bit-exact: the header and, on a
+    // hand-driven commit, the DATA samples still pending.
+    ASSERT_EQ(g.header.has_value(), w.header.has_value());
+    if (w.header) {
+      EXPECT_EQ(g.header->samples_needed, w.header->samples_needed);
+    }
+    EXPECT_EQ(g.data_samples, w.data_samples);
     ASSERT_EQ(g.phy.has_value(), w.phy.has_value());
     if (w.phy) {
       EXPECT_EQ(g.phy->psdu, w.phy->psdu);
@@ -614,14 +629,21 @@ TEST(Streaming, ScratchDemodulateBitIdentical) {
   scratch.aligned.assign(9000, cd{1.0, -1.0});  // dirty, oversized
   scratch.sub.resize(8, CMat(8, 977));
   for (const auto& cand : scan.candidates) {
-    const auto plain = rig.ap.demodulate(*scan.conditioned, cand.detection);
-    const auto reused =
+    auto plain = rig.ap.demodulate(*scan.conditioned, cand.detection);
+    auto reused =
         rig.ap.demodulate(*scan.conditioned, cand.detection, &scratch);
-    const auto again =  // scratch now dirty from this very frame
+    auto again =  // scratch now dirty from this very frame
         rig.ap.demodulate(*scan.conditioned, cand.detection, &scratch);
     ASSERT_EQ(plain.has_value(), reused.has_value());
     ASSERT_EQ(plain.has_value(), again.has_value());
     if (!plain) continue;
+    ASSERT_TRUE(plain->header.has_value());
+    for (const auto* p : {&*reused, &*again}) {
+      // The pending DATA samples are the packet's own copy, untouched by
+      // the next frame's use of the scratch.
+      EXPECT_EQ(p->data_samples, plain->data_samples);
+    }
+    for (auto* p : {&*plain, &*reused, &*again}) decode_data(*p);
     for (const auto* p : {&*reused, &*again}) {
       EXPECT_EQ(p->bearing_array_deg, plain->bearing_array_deg);
       ASSERT_EQ(p->phy.has_value(), plain->phy.has_value());
@@ -679,10 +701,11 @@ TEST(Streaming, ScratchPrepareBitIdenticalWideband) {
       }
       EXPECT_EQ(reused->bands[b].lambda_m(), plain->bands[b].lambda_m());
     }
-    ASSERT_EQ(reused->phy.has_value(), plain->phy.has_value());
-    if (plain->phy) {
-      EXPECT_EQ(reused->phy->psdu, plain->phy->psdu);
+    ASSERT_EQ(reused->header.has_value(), plain->header.has_value());
+    if (plain->header) {
+      EXPECT_EQ(reused->header->samples_needed, plain->header->samples_needed);
     }
+    EXPECT_EQ(reused->data_samples, plain->data_samples);
   }
 }
 

@@ -47,6 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <list>
 #include <memory>
 #include <string>
@@ -63,8 +64,6 @@
 #include "bench_common.hpp"
 #include "sa/aoa/covariance.hpp"
 #include "sa/common/compact/flat_lru_map.hpp"
-#include "sa/common/compact/mac_prefilter.hpp"
-#include "sa/common/compact/timer_wheel.hpp"
 #include "sa/engine/session.hpp"
 #include "sa/mac/acl.hpp"
 
@@ -170,11 +169,13 @@ void covariance_conditioning_note(std::size_t reps) {
 
 // ---- tracked-state sweep: per-client memory of the sa/common/compact
 // substrate versus the node-based structures it replaced, at up to a
-// million tracked MACs, plus MAC lookup latency through the prefilter.
+// million tracked MACs, plus MAC lookup latency through the ACL.
 
-/// Heap bytes attributed to the baseline replicas, counted as the real
-/// malloc chunk (usable size + header) so node overhead and rounding —
-/// the costs the flat substrate exists to avoid — are included.
+/// Heap bytes held by containers on CountingAlloc (the baseline
+/// replicas, and the compact side's decrement FIFO), counted as the
+/// real malloc chunk (usable size + header) so node overhead and
+/// rounding — the costs the flat substrate exists to avoid — are
+/// included.
 std::size_t g_baseline_heap = 0;
 
 template <class T>
@@ -232,60 +233,60 @@ StateRow measure_tracked_state(std::size_t n) {
 
   // ---- compact side: the real ACL, plus replicas of the spoof
   // detector's and rate limiter's exact state machines (FlatLruMap +
-  // MacPrefilter + TimerWheel, same types and admission logic).
+  // decrement FIFO, same types and admission logic).
   {
     AccessControlList acl;
     FlatLruMap<MacAddress, std::uint64_t> spoof_bk(n);
-    MacPrefilter spoof_filter(n);
     struct RateState {
       std::uint32_t in_window = 0;
       std::uint32_t generation = 0;
     };
     struct Decrement {
-      MacAddress mac;
+      std::uint64_t due = 0;
       std::uint32_t generation = 0;
+      MacAddress mac;
     };
     FlatLruMap<MacAddress, RateState> rate(n);
-    TimerWheel<Decrement> wheel;
+    const std::size_t heap_before = g_baseline_heap;
+    std::deque<Decrement, CountingAlloc<Decrement>> pending;
     std::uint32_t next_gen = 0;
     std::uint64_t now = 0;
+    const auto retire = [&] {
+      while (!pending.empty() && pending.front().due <= now) {
+        const Decrement d = pending.front();
+        pending.pop_front();
+        RateState* st = rate.find(d.mac);
+        if (st == nullptr || st->generation != d.generation) continue;
+        if (--st->in_window == 0) rate.erase(d.mac);
+      }
+    };
     for (std::size_t c = 0; c < n; ++c) {
       const MacAddress mac =
           MacAddress::from_index(static_cast<std::uint32_t>(c));
       acl.allow(mac);
-      const auto sp = spoof_bk.get_or_emplace(mac, std::uint64_t{0});
-      if (sp.inserted) spoof_filter.insert(mac);
+      spoof_bk.get_or_emplace(mac, std::uint64_t{0});
       for (std::size_t f = 0; f < kBurstFrames; ++f) {
         ++now;
-        wheel.advance(now, [&](Decrement d, std::uint64_t) {
-          RateState* st = rate.find(d.mac);
-          if (st == nullptr || st->generation != d.generation) return;
-          if (--st->in_window == 0) rate.erase(d.mac);
-        });
+        retire();
         const auto r = rate.get_or_emplace(mac);
         if (r.inserted) r.value->generation = ++next_gen;
         ++r.value->in_window;
-        wheel.schedule(now + kWindowFrames, {mac, r.value->generation});
+        pending.push_back({now + kWindowFrames, r.value->generation, mac});
       }
     }
     // The wave has passed: every window expires and the rate entries
     // erase themselves — the old structures have no equivalent event.
     now += kWindowFrames + 1;
-    wheel.advance(now, [&](Decrement d, std::uint64_t) {
-      RateState* st = rate.find(d.mac);
-      if (st == nullptr || st->generation != d.generation) return;
-      if (--st->in_window == 0) rate.erase(d.mac);
-    });
+    retire();
     const std::size_t compact_total =
-        acl.memory_bytes() + spoof_bk.memory_bytes() +
-        spoof_filter.memory_bytes() + rate.memory_bytes() +
-        wheel.memory_bytes();
+        acl.memory_bytes() + spoof_bk.memory_bytes() + rate.memory_bytes() +
+        sizeof(pending) + (g_baseline_heap - heap_before);
     row.compact_bytes =
         static_cast<double>(compact_total) / static_cast<double>(n);
 
-    // ---- lookup latency through the real ACL: a present MAC (filter
-    // positive, exact probe) and an absent one (one-cache-line filter
-    // negative). Strided order defeats the prefetcher.
+    // ---- lookup latency through the real ACL: a present MAC and an
+    // absent one, each one probe run of the flat set. Strided order
+    // defeats the prefetcher.
     volatile std::size_t sink = 0;
     const std::size_t reps = std::min<std::size_t>(n, 1u << 20);
     auto time_ns = [&](std::uint32_t base) {
@@ -457,7 +458,7 @@ void write_json(const BenchResults& r, const char* path) {
                  "\"bytes_per_tracked_client\": %.1f, "
                  "\"baseline_bytes_per_client\": %.1f, \"ratio\": %.2f, "
                  "\"mac_lookup_hit_ns\": %.1f, "
-                 "\"mac_lookup_prefilter_miss_ns\": %.1f}",
+                 "\"mac_lookup_miss_ns\": %.1f}",
                  i == 0 ? "" : ",", s.clients, s.compact_bytes,
                  s.baseline_bytes, s.ratio, s.lookup_hit_ns, s.lookup_miss_ns);
   }
@@ -467,8 +468,7 @@ void write_json(const BenchResults& r, const char* path) {
       r.state_sweep.empty() ? StateRow{} : r.state_sweep.back();
   std::fprintf(f,
                "  \"bytes_per_tracked_client\": %.1f,\n"
-               "  \"mac_lookup_ns\": {\"hit\": %.1f, \"prefilter_miss\": "
-               "%.1f},\n",
+               "  \"mac_lookup_ns\": {\"hit\": %.1f, \"miss\": %.1f},\n",
                big.compact_bytes, big.lookup_hit_ns, big.lookup_miss_ns);
   const double t1_fps =
       r.threads_sweep.empty() ? 0.0 : r.threads_sweep.front().fps;
@@ -804,7 +804,7 @@ int main(int argc, char** argv) {
         "%zu-frame bursts, window %zu, measured after the wave):\n"
         "%-10s %14s %14s %7s %10s %12s\n",
         kBurstFrames, kWindowFrames, "clients", "compact B/cl",
-        "baseline B/cl", "ratio", "hit ns", "filter-miss");
+        "baseline B/cl", "ratio", "hit ns", "miss ns");
     for (const std::size_t n : counts) {
       const StateRow row = measure_tracked_state(n);
       std::printf("%-10zu %14.1f %14.1f %6.2fx %10.1f %12.1f\n", row.clients,
@@ -839,7 +839,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("\nstate tripwire ok: %.1f B/client, %.2fx vs baseline, "
-                "%.1f ns hit / %.1f ns filter-miss\n",
+                "%.1f ns hit / %.1f ns miss\n",
                 big.compact_bytes, big.ratio, big.lookup_hit_ns,
                 big.lookup_miss_ns);
   }

@@ -481,17 +481,18 @@ int main(int argc, char** argv) {
     report_span(interval_start, duration_s, true);
     (void)now;
 
-    const auto st = session.stats();
+    const auto policy_rows = session.policy_stats();
     const auto ss = session.session_stats();
     const auto sp = session.spoof_detector().stats();
     std::printf(
         "\ntraffic: %zu frames sent (%zu spoofed, %zu off-site, %zu flood)\n",
         sent, spoofed, offsite, flooded);
+    // Every frame enters the chain at its decode link.
     std::printf("decisions: %zu frames | %zu accepted | %zu dropped\n",
-                st.frames, accepted.load(), dropped.load());
+                policy_rows.front().evaluated, accepted.load(), dropped.load());
     std::printf("\n%-10s %10s %10s %10s\n", "policy", "evaluated", "accepted",
                 "dropped");
-    for (const auto& ps : session.policy_stats()) {
+    for (const auto& ps : policy_rows) {
       std::printf("%-10.*s %10zu %10zu %10zu\n",
                   static_cast<int>(ps.name.size()), ps.name.data(),
                   ps.evaluated, ps.accepted, ps.dropped);
@@ -610,13 +611,18 @@ int main(int argc, char** argv) {
   std::printf("phase 3 — off-site transmitter: %d/%d frames denied\n",
               offsite_drops, outdoor_frames);
 
-  const auto st = session.stats();
+  // Every frame enters the chain at its decode link, then is either
+  // accepted by the whole chain or dropped by exactly one policy.
+  const auto policy_rows = session.policy_stats();
+  const std::size_t frames = policy_rows.front().evaluated;
+  std::size_t drops = 0;
+  for (const auto& ps : policy_rows) drops += ps.dropped;
   const auto sp = session.spoof_detector().stats();
-  std::printf("\ntotals: %zu frames | %zu accepted | %zu dropped\n", st.frames,
-              st.accepted, st.frames - st.accepted);
+  std::printf("\ntotals: %zu frames | %zu accepted | %zu dropped\n", frames,
+              frames - drops, drops);
   std::printf("\n%-10s %10s %10s %10s\n", "policy", "evaluated", "accepted",
               "dropped");
-  for (const auto& ps : session.policy_stats()) {
+  for (const auto& ps : policy_rows) {
     std::printf("%-10.*s %10zu %10zu %10zu\n",
                 static_cast<int>(ps.name.size()), ps.name.data(), ps.evaluated,
                 ps.accepted, ps.dropped);

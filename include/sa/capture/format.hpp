@@ -109,9 +109,9 @@ inline constexpr std::size_t kMaxTraceEntries = 256;
 /// over every AP of the deployment (or of the whole fleet) is capped; a
 /// 256-AP fleet of 4-antenna, 1-subband APs is exactly at the bound.
 /// Every fleet site is a session with its own dataplane threads, so the
-/// site count is capped too. A tracked-MAC bound ("sa.max_tracked")
-/// sizes each site's MAC prefilters up front (up to 3 bytes per entry,
-/// twice per site), so it is capped as well.
+/// site count is capped too. The tracked-MAC bound ("sa.max_tracked")
+/// is an untrusted field like the others and is capped as well, though
+/// nothing is sized from it up front.
 inline constexpr std::size_t kMaxAntennaBands = 1024;
 inline constexpr std::size_t kMaxFleetSites = 64;
 inline constexpr std::size_t kMaxTrackedMacs = std::size_t{1} << 16;

@@ -1,9 +1,10 @@
-// Flat open-addressing hash map with intrusive LRU linkage — the
-// per-MAC state substrate for million-client deployments. One
-// contiguous slot array holds key, value and the LRU list (u32
-// prev/next slot indices), so a tracked client costs bytes, not
-// allocations: no nodes, no per-entry malloc, no pointer chasing on
-// the hot path.
+// Flat open-addressing hash map with intrusive LRU linkage: the one
+// container every per-MAC defence keeps its state in (the ACL's allow
+// set, the spoof detector's trackers, the rate limiter's windows, the
+// fleet's home map). One contiguous slot array holds key, value and
+// the LRU list (u32 prev/next slot indices), so a tracked client costs
+// bytes, not allocations: no nodes, no per-entry malloc, no pointer
+// chasing on the hot path.
 //
 // Layout and invariants:
 //  - power-of-two capacity, linear probing, grown before load factor
@@ -16,14 +17,17 @@
 //    a slot (backward shift, rehash) re-patches its neighbours' links,
 //    so recency order survives table maintenance exactly;
 //  - `max_entries` bounds the map: inserting a new key at the bound
-//    evicts the least-recently-used entry first and reports its key, so
-//    callers can keep eviction stats and prefilters honest.
+//    evicts the least-recently-used entry first and reports that it
+//    did, so callers can keep eviction stats;
+//  - erase_lru_while() pops entries off the LRU tail, which is how a
+//    caller that stamps each entry when it refreshes it (the spoof
+//    detector's idle expiry) finds every stale entry without a scan.
 //
 // Recency policy (matches the spoof detector's historical behaviour):
-// get_or_emplace() and touch() refresh recency; find() is a pure read
-// and does not. Pointers returned by find()/get_or_emplace() are
-// invalidated by any later mutation (erase or insert may shift or
-// rehash slots) — use them immediately.
+// get_or_emplace() refreshes recency; find() is a pure read and does
+// not. Pointers returned by find()/get_or_emplace() are invalidated by
+// any later mutation (erase or insert may shift or rehash slots) — use
+// them immediately.
 //
 // Not thread safe; in the engine the session's control thread owns the
 // policy chain's maps and the spoof shards' maps outright, so the map
@@ -95,12 +99,11 @@ class FlatLruMap {
     V* value = nullptr;
     bool inserted = false;  ///< true when the key was not present
     bool evicted = false;   ///< true when the LRU entry was evicted
-    K evicted_key{};        ///< meaningful iff `evicted`
   };
 
   /// Find-or-insert; either way the entry becomes most recently used.
   /// On insert the value is constructed from `args`; at the bound the
-  /// LRU entry is evicted first and its key reported.
+  /// LRU entry is evicted first.
   template <class... Args>
   EmplaceResult get_or_emplace(const K& key, Args&&... args) {
     reserve_one();
@@ -112,7 +115,6 @@ class FlatLruMap {
     }
     if (max_entries_ > 0 && size_ >= max_entries_) {
       r.evicted = true;
-      r.evicted_key = slots_[tail_].key;
       erase_slot(tail_);
     }
     const std::uint32_t idx = probe_empty(key);
@@ -137,16 +139,6 @@ class FlatLruMap {
     return idx == kNil ? nullptr : value_ptr(idx);
   }
 
-  /// Find and refresh recency. nullptr when absent.
-  V* touch(const K& key) {
-    const std::uint32_t idx = find_index(key);
-    if (idx == kNil) return nullptr;
-    move_to_front(idx);
-    return value_ptr(idx);
-  }
-
-  bool contains(const K& key) const { return find_index(key) != kNil; }
-
   /// Remove a key; false when absent.
   bool erase(const K& key) {
     const std::uint32_t idx = find_index(key);
@@ -155,27 +147,19 @@ class FlatLruMap {
     return true;
   }
 
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  std::size_t capacity() const { return slots_.size(); }
-  std::size_t max_entries() const { return max_entries_; }
-
-  /// Least- and most-recently-used keys; nullptr when empty. The
-  /// pointers follow the same invalidation rule as find().
-  const K* lru_key() const {
-    return tail_ == kNil ? nullptr : &slots_[tail_].key;
-  }
-  const K* mru_key() const {
-    return head_ == kNil ? nullptr : &slots_[head_].key;
-  }
-
-  /// Visit every entry as (key, value), in unspecified (slot) order.
-  template <class Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].occupied) fn(slots_[i].key, *value_ptr(i));
+  /// Erase least-recently-used entries while `pred(value)` holds for
+  /// the current LRU entry; returns how many were erased.
+  template <class Pred>
+  std::size_t erase_lru_while(Pred&& pred) {
+    std::size_t erased = 0;
+    while (tail_ != kNil && pred(std::as_const(*value_ptr(tail_)))) {
+      erase_slot(tail_);
+      ++erased;
     }
+    return erased;
   }
+
+  std::size_t size() const { return size_; }
 
   /// Visit every entry from most to least recently used.
   template <class Fn>
@@ -183,16 +167,6 @@ class FlatLruMap {
     for (std::uint32_t i = head_; i != kNil; i = slots_[i].next) {
       fn(slots_[i].key, *value_ptr(i));
     }
-  }
-
-  void clear() {
-    destroy_all();
-    for (auto& s : slots_) {
-      s.occupied = false;
-      s.prev = s.next = kNil;
-    }
-    size_ = 0;
-    head_ = tail_ = kNil;
   }
 
   /// Bytes held by the slot array (the map's entire footprint beyond

@@ -64,16 +64,6 @@
 
 namespace sa {
 
-/// Optional core pinning for the run-to-completion workers. Worker w is
-/// pinned to cores[w mod cores.size()], or to core (w mod
-/// hardware_concurrency) when `cores` is empty. Pinning is implemented
-/// with pthread_setaffinity_np on Linux and is a no-op elsewhere;
-/// SessionStats::workers_pinned reports how many pins actually took.
-struct WorkerPlacement {
-  bool pin_workers = false;
-  std::vector<int> cores;
-};
-
 struct SessionConfig {
   EngineConfig engine;
   /// Rounds that may be dispatched but not yet fully decided at once;
@@ -84,7 +74,6 @@ struct SessionConfig {
   /// raggedness of the submission order: pushing one AP more than this
   /// many rounds ahead of another would block forever.
   std::size_t max_pending_chunks = 64;
-  WorkerPlacement placement;
 };
 
 /// Observable pipeline behavior (all monotonic counters / high-water
@@ -128,7 +117,7 @@ struct SessionStats {
   /// ratio shows whether the spin budget absorbs the arrival jitter.
   std::size_t spin_polls = 0;
   std::size_t parks = 0;
-  /// Workers successfully pinned via WorkerPlacement.
+  /// Always 0: the session never pins its workers to cores.
   std::size_t workers_pinned = 0;
 };
 
@@ -221,8 +210,6 @@ class EngineSession {
   // is quiescent (after drain()/wait_idle(), with no concurrent
   // submit()).
 
-  /// The legacy aggregate view.
-  Coordinator::Stats stats() const;
   /// Per-policy rows in chain order (the decode link first).
   std::vector<PolicyChain::PolicyStats> policy_stats() const;
   const ShardedSpoofDetector& spoof_detector() const { return spoof_; }
@@ -291,7 +278,6 @@ class EngineSession {
     std::atomic<std::size_t> max_worker_burst{0};
     std::atomic<std::size_t> spin_polls{0};
     std::atomic<std::size_t> parks{0};
-    std::atomic<std::size_t> workers_pinned{0};
   };
 
   void control_loop();

@@ -29,7 +29,7 @@ class ShardedSpoofDetector {
   /// same at any worker count either way.
   /// `idle_expiry_frames` (0 = off) is forwarded to every shard's
   /// detector: a tracker not observed for that many of its shard's
-  /// observation ticks is expired via the shard's timing wheel. Shard
+  /// observation ticks is expired off the shard's LRU list. Shard
   /// observation order is fixed by the session's control thread
   /// regardless of worker count, so expiry stays deterministic at any
   /// thread count.

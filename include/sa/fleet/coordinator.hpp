@@ -15,10 +15,10 @@
 // exported (tracker accumulators, ACL verdict, rate residue), shipped
 // as one FleetWire kClientState message, and imported into the
 // destination's compact substrate: the tracker lands in the shard
-// owner's FlatLruMap + prefilter with a fresh timer-wheel idle lease,
-// the rate residue is re-armed under the documented window-restart
-// rule. The source then forgets the client (keeping its ACL entry, so
-// late frames are judged by signature — not membership).
+// owner's FlatLruMap as its most recently seen entry, with a full idle
+// window ahead, and the rate residue is re-armed under the documented
+// window-restart rule. The source then forgets the client (keeping its
+// ACL entry, so late frames are judged by signature — not membership).
 //
 // The message no longer teleports: it rides the transport stack
 // (sa/fleet/transport.hpp) as a sequence-numbered, checksummed

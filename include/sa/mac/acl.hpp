@@ -2,59 +2,32 @@
 // link-layer spoofing subverts (paper §1). SecureAngle's spoof detector
 // layers on top of this.
 //
-// Storage is the compact per-MAC substrate: a flat open-addressing set
-// (no per-entry allocations) behind a blocked-Bloom prefilter, so the
-// common case at fleet scale — a frame from a MAC that is not on the
-// list — resolves in one cache line without probing the table. The
-// filter can only over-approximate (revoked MACs leave stale bits until
-// the next rebuild epoch), and every stale positive falls through to
-// the exact set, so is_allowed() answers are always exact.
+// Storage is the flat open-addressing set every per-MAC defence uses
+// (sa/common/compact/flat_lru_map.hpp): no per-entry allocations, and a
+// lookup is one probe run whether the MAC is listed or not.
 #pragma once
 
 #include "sa/common/compact/flat_lru_map.hpp"
-#include "sa/common/compact/mac_prefilter.hpp"
 #include "sa/mac/address.hpp"
 
 namespace sa {
 
 class AccessControlList {
  public:
-  void allow(const MacAddress& addr) {
-    const auto r = set_.get_or_emplace(addr);
-    if (r.inserted) {
-      filter_.insert(addr);
-      maybe_rebuild_filter();
-    }
-  }
-  void revoke(const MacAddress& addr) {
-    if (set_.erase(addr)) {
-      filter_.note_erase();
-      maybe_rebuild_filter();
-    }
-  }
+  void allow(const MacAddress& addr) { set_.get_or_emplace(addr); }
+  void revoke(const MacAddress& addr) { set_.erase(addr); }
   bool is_allowed(const MacAddress& addr) const {
-    if (!filter_.maybe_contains(addr)) return false;  // definite miss
     return set_.find(addr) != nullptr;
   }
   std::size_t size() const { return set_.size(); }
 
-  /// Footprint of the set and its prefilter.
-  std::size_t memory_bytes() const {
-    return set_.memory_bytes() + filter_.memory_bytes();
-  }
+  /// Footprint of the set.
+  std::size_t memory_bytes() const { return set_.memory_bytes(); }
 
  private:
   struct Empty {};
 
-  void maybe_rebuild_filter() {
-    if (!filter_.should_rebuild(set_.size())) return;
-    filter_.rebuild(set_.size(), [this](auto&& add) {
-      set_.for_each([&](const MacAddress& key, const Empty&) { add(key); });
-    });
-  }
-
   FlatLruMap<MacAddress, Empty> set_;
-  MacPrefilter filter_;
 };
 
 }  // namespace sa

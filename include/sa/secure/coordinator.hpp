@@ -31,10 +31,10 @@ struct CoordinatorConfig {
   /// MACs — can differ from a serial Coordinator's global LRU. They
   /// are the same at any engine worker count.
   std::size_t max_tracked_macs = 0;
-  /// Expire spoof trackers idle for this many observation ticks via the
-  /// detector's timing wheel; 0 (default) = never. Opt-in because an
-  /// expired tracker retrains when its client returns, which changes
-  /// decisions — with it off, decisions are unchanged.
+  /// Expire spoof trackers idle for this many observation ticks (see
+  /// SpoofDetector); 0 (default) = never. Opt-in because an expired
+  /// tracker retrains when its client returns, which changes decisions
+  /// — with it off, decisions are unchanged.
   std::size_t spoof_idle_frames = 0;
   /// Minimum APs that must hear a frame before it can be localized.
   std::size_t min_aps_for_fence = 2;
@@ -86,17 +86,6 @@ class Coordinator {
   static const ApObservation& best_observation(
       const std::vector<ApObservation>& observations);
 
-  /// Legacy aggregate view of the per-policy counters.
-  struct Stats {
-    std::size_t frames = 0;
-    std::size_t accepted = 0;
-    std::size_t dropped_fence = 0;
-    std::size_t dropped_spoof = 0;
-    std::size_t dropped_undecodable = 0;
-    /// Drops by policies outside the default chain (ACL, rate, custom).
-    std::size_t dropped_policy = 0;
-  };
-  Stats stats() const;
   const PolicyChain& chain() const { return chain_; }
   /// Quiescent maintenance access (fleet handoff export/import between
   /// frames) — never while process*() may be running.

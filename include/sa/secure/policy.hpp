@@ -15,13 +15,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
 
 #include "sa/common/compact/flat_lru_map.hpp"
-#include "sa/common/compact/timer_wheel.hpp"
 #include "sa/mac/acl.hpp"
 #include "sa/secure/accesspoint.hpp"
 #include "sa/secure/spoofdetector.hpp"
@@ -33,18 +33,6 @@ namespace sa {
 struct ApObservation {
   Vec2 ap_position;
   ReceivedPacket packet;
-};
-
-/// Legacy closed-world verdict, kept for callers that predate the
-/// policy chain. FrameDecision::action() maps the default chain's
-/// outcomes onto it; drops by policies outside the default chain
-/// (ACL, rate limit, custom) map to kDropPolicy.
-enum class FrameAction {
-  kAccept,
-  kDropFence,
-  kDropSpoof,
-  kDropUndecodable,
-  kDropPolicy,
 };
 
 /// What one policy says about one frame.
@@ -79,9 +67,6 @@ struct FrameDecision {
   double spoof_score = 0.0;
   /// Per-policy results in evaluation order (ends at the first drop).
   std::vector<PolicyTrace> trace;
-
-  /// Compatibility mapping onto the pre-chain enum.
-  FrameAction action() const;
 };
 
 /// Everything the policies may consult about one fused frame: the per-AP
@@ -268,19 +253,22 @@ struct RateLimitConfig {
 /// frame with no decodable source MAC is dropped rather than waved
 /// through (DecodePolicy normally drops those first).
 ///
-/// State is a per-MAC in-window counter plus one timing-wheel decrement
-/// event per admitted frame, due exactly one window after the admit —
-/// provably the same decisions as the historical sliding-window log (an
-/// admit at frame a leaves the window at now = a + window_frames, which
-/// is precisely when its decrement fires), without storing the log.
-/// A MAC whose count reaches zero is erased outright, so idle clients
-/// cost nothing: live entries are bounded by the frames in flight in
-/// one window, not by the client population. The wheel is driven by the
-/// frame indices the policy evaluates — under the engine, the global
-/// sequence numbers of the session's one chain, which the control
-/// thread runs in sequence order at any worker count. The LRU bound is
-/// therefore global too: when it binds, decisions still do not depend
-/// on the worker count.
+/// State is a per-MAC in-window counter plus one decrement per admitted
+/// frame, due exactly one window after the admit — provably the same
+/// decisions as the historical sliding-window log (an admit at frame a
+/// leaves the window at now = a + window_frames, which is precisely
+/// when its decrement is retired), without a per-MAC admit log. Every
+/// decrement falls due a fixed window after a frame index that never
+/// decreases, so due times arrive in order and the pending decrements
+/// are a FIFO retired from its front. A MAC whose count reaches zero is
+/// erased outright, so idle clients cost nothing: live entries are
+/// bounded by the frames in flight in one window, not by the client
+/// population. The clock is the frame indices the policy evaluates —
+/// under the engine, the global sequence numbers of the session's one
+/// chain, which the control thread runs in sequence order at any worker
+/// count — and it must never go backwards. The LRU bound is therefore
+/// global too: when it binds, decisions still do not depend on the
+/// worker count.
 ///
 /// tracked_macs() therefore counts MACs with in-window frames (the
 /// node-based implementation also counted idle MACs until LRU eviction
@@ -309,7 +297,9 @@ class RateLimitPolicy final : public SecurityPolicy {
   /// a frame. The fleet-handoff export hook: at quiescence the caller
   /// advances the window to the global frame clock first, so the
   /// exported residue is a pure function of the frame stream (how far
-  /// the wheel had lazily advanced is otherwise workload-dependent).
+  /// the last evaluated frame had retired is otherwise
+  /// workload-dependent). Throws InvalidArgument if `frame` is below a
+  /// frame index already seen.
   void advance_to(std::size_t frame);
 
   /// A MAC's current in-window admit count; nullopt when idle (a MAC
@@ -320,9 +310,9 @@ class RateLimitPolicy final : public SecurityPolicy {
   /// Install handed-off residue under the documented *rate-window
   /// restart rule*: the carried admits are treated as if they all
   /// happened at the client's first post-handoff frame here — their
-  /// decrements are scheduled one full window after that frame (the
-  /// source site's wheel deadlines are in its own frame clock and
-  /// cannot be carried across). The count is clamped to max_frames
+  /// decrements fall due one full window after that frame (the source
+  /// site's due times are in its own frame clock and cannot be carried
+  /// across). The count is clamped to max_frames
   /// (no-op for honest handoffs; a forged larger residue must not deny
   /// forever). Zero residue erases the entry. Bumps the entry
   /// generation, so decrements scheduled for any prior incarnation of
@@ -331,11 +321,6 @@ class RateLimitPolicy final : public SecurityPolicy {
 
   /// Drop a MAC's residue outright (handoff source side).
   void forget(const MacAddress& mac);
-
-  /// Footprint of the counter map and the decrement wheel.
-  std::size_t memory_bytes() const {
-    return history_.memory_bytes() + wheel_.memory_bytes();
-  }
 
  private:
   struct RateState {
@@ -346,18 +331,22 @@ class RateLimitPolicy final : public SecurityPolicy {
     /// rate-window restart rule).
     bool restart_pending = false;
   };
-  /// Decrement events carry the entry generation so a stale event from
-  /// before an LRU eviction cannot debit the MAC's next incarnation.
+  /// Decrements carry the entry generation so a stale one from before
+  /// an LRU eviction cannot debit the MAC's next incarnation.
   struct Decrement {
-    MacAddress mac;
+    std::uint64_t due = 0;
     std::uint32_t generation = 0;
+    MacAddress mac;
   };
 
+  /// Advance the frame clock to `now` (never backwards) and retire
+  /// every decrement due by then.
   void retire_until(std::uint64_t now);
 
   RateLimitConfig config_;
   FlatLruMap<MacAddress, RateState> history_;
-  TimerWheel<Decrement> wheel_;
+  std::deque<Decrement> pending_;  ///< in due order
+  std::uint64_t clock_ = 0;        ///< the latest frame index seen
   std::uint32_t next_generation_ = 0;
   std::size_t evictions_ = 0;
 };

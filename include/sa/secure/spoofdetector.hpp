@@ -2,10 +2,11 @@
 // tracked AoA signature; flag packets whose signature diverges from the
 // one trained for that address.
 //
-// Tracker state lives on the compact per-MAC substrate: a flat
-// open-addressing LRU map (no node allocations) behind a blocked-Bloom
-// prefilter, so tracker() for a never-seen MAC answers from one cache
-// line, plus an optional timing wheel that expires idle trackers.
+// Tracker state lives in one flat open-addressing LRU map (no node
+// allocations). The LRU list is also the idle-expiry schedule: only
+// observe() and import_tracker() stamp an entry's last-seen tick, and
+// both make it most recently used, so the list runs in last-seen order
+// and every idle tracker sits at its tail.
 //
 // Recency policy (deliberate, and preserved from the node-based
 // implementation): observe() refreshes a MAC's LRU recency whether it
@@ -15,8 +16,6 @@
 #pragma once
 
 #include "sa/common/compact/flat_lru_map.hpp"
-#include "sa/common/compact/mac_prefilter.hpp"
-#include "sa/common/compact/timer_wheel.hpp"
 #include "sa/mac/address.hpp"
 #include "sa/signature/tracker.hpp"
 
@@ -50,9 +49,10 @@ class SpoofDetector {
   /// default.
   ///
   /// `idle_expiry_frames` > 0 additionally expires any tracker not
-  /// observed for that many observation ticks, via a timing wheel in
-  /// O(1) per tick. Off (0) by default: expiring a tracker changes
-  /// decisions (a returning client retrains), so deployments opt in.
+  /// observed for that many observation ticks: each observe() first
+  /// erases trackers off the LRU tail while they are that stale. Off
+  /// (0) by default: expiring a tracker changes decisions (a returning
+  /// client retrains), so deployments opt in.
   explicit SpoofDetector(TrackerConfig tracker_config = {},
                          std::size_t max_tracked_macs = 0,
                          std::size_t idle_expiry_frames = 0);
@@ -69,10 +69,9 @@ class SpoofDetector {
   SpoofObservation observe(const MacAddress& source,
                            const AoaSignature& signature);
 
-  /// Tracker for a MAC, if it has been seen. Answers definite misses
-  /// from the prefilter without probing the table. The pointer is
-  /// invalidated by the next observe()/forget() (flat storage moves
-  /// under insertion and erasure) — use it immediately.
+  /// Tracker for a MAC, if it has been seen. The pointer is invalidated
+  /// by the next observe()/forget() (flat storage moves under insertion
+  /// and erasure) — use it immediately.
   const SignatureTracker* tracker(const MacAddress& source) const;
 
   /// Forget a MAC entirely (e.g. after deauthentication).
@@ -83,20 +82,13 @@ class SpoofDetector {
   std::optional<TrackerSnapshot> export_tracker(const MacAddress& source) const;
 
   /// Install handed-off tracker state for a MAC, inserting it into the
-  /// map/prefilter (and idle wheel) exactly as a first observation
-  /// would, but without consuming an observation tick — the imported
-  /// client has not sent a frame here yet. Overwrites any existing
-  /// tracker for the MAC.
+  /// map exactly as a first observation would (most recently used, a
+  /// full idle window ahead), but without consuming an observation
+  /// tick — the imported client has not sent a frame here yet.
+  /// Overwrites any existing tracker for the MAC.
   void import_tracker(const MacAddress& source, const TrackerSnapshot& snap);
 
   SpoofDetectorStats stats() const;
-
-  /// Footprint of the tracker map, prefilter and expiry wheel (the
-  /// trackers' own signature buffers are not included).
-  std::size_t memory_bytes() const {
-    return trackers_.memory_bytes() + filter_.memory_bytes() +
-           wheel_.memory_bytes();
-  }
 
  private:
   struct Entry {
@@ -105,15 +97,13 @@ class SpoofDetector {
     std::uint64_t last_seen = 0;
   };
 
-  void expire_idle(std::uint64_t now);
-  void maybe_rebuild_filter();
+  /// Insert or refresh `source`'s entry as most recently used, stamped
+  /// with tick `now`.
+  Entry& admit(const MacAddress& source, std::uint64_t now);
 
   TrackerConfig tracker_config_;
-  std::size_t max_tracked_macs_;
   std::size_t idle_expiry_frames_;
   FlatLruMap<MacAddress, Entry> trackers_;
-  MacPrefilter filter_;
-  TimerWheel<MacAddress> wheel_;
   std::size_t packets_ = 0;
   std::size_t alarms_ = 0;
   std::size_t evictions_ = 0;

@@ -31,11 +31,10 @@ namespace sa {
 struct StreamingConfig {
   /// Samples retained across chunk boundaries. Must cover the longest
   /// packet expected plus detection margin; the default covers ~55 data
-  /// symbols (a few hundred bytes at 6 Mbps).
+  /// symbols (a few hundred bytes at 6 Mbps). At least kPreambleLen +
+  /// kSymbolLen (a preamble plus the SIGNAL symbol): the scan reads
+  /// nothing from a shorter buffer.
   std::size_t history_samples = 6000;
-  /// A detection this close to the buffer end is deferred until more
-  /// samples arrive (the packet may be truncated mid-air).
-  std::size_t tail_guard = 480;
   /// A detection is emitted once its SIGNAL field decodes and the whole
   /// span it announces is buffered. Otherwise it is retried until this
   /// many samples have accumulated past its start (the packet may still
@@ -47,7 +46,8 @@ struct StreamingConfig {
 class StreamingReceiver {
  public:
   /// Throws InvalidArgument when `config` violates its invariants
-  /// (notably max_packet_samples < history_samples).
+  /// (history_samples >= kPreambleLen + kSymbolLen and
+  /// max_packet_samples < history_samples).
   StreamingReceiver(AccessPoint& ap, StreamingConfig config = {});
 
   /// Feed the next contiguous chunk (rows = antennas). Returns packets

@@ -36,9 +36,9 @@
 //                  hot talkers, a long cold tail), while an independent
 //                  process retires pool slots and mints fresh MACs at
 //                  churn_rotate_per_s — the MAC-rotation workload that
-//                  exercises per-MAC LRU eviction, prefilter rebuild
-//                  epochs, and timer-wheel expiry in the engine's
-//                  tracked state.
+//                  exercises per-MAC LRU eviction, idle expiry and
+//                  rate-window retirement in the engine's tracked
+//                  state.
 //   roaming        the fleet-tier workload: roaming_walkers clients
 //                  wander a fleet of roaming_sites sites. Each walker
 //                  dwells at a site for an exponential

@@ -9,11 +9,6 @@
 #include "sa/common/error.hpp"
 #include "sa/common/logging.hpp"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace sa {
 
 namespace {
@@ -22,20 +17,6 @@ std::size_t resolve_threads(std::size_t requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
-}
-
-/// Pin the calling thread to `core`; returns whether the pin took.
-bool pin_current_thread(int core) {
-#if defined(__linux__)
-  if (core < 0) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(core), &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)core;
-  return false;
-#endif
 }
 
 }  // namespace
@@ -273,12 +254,7 @@ SessionStats EngineSession::session_stats() const {
   s.max_worker_burst = stats_.max_worker_burst.load(std::memory_order_acquire);
   s.spin_polls = stats_.spin_polls.load(std::memory_order_acquire);
   s.parks = stats_.parks.load(std::memory_order_acquire);
-  s.workers_pinned = stats_.workers_pinned.load(std::memory_order_acquire);
   return s;
-}
-
-Coordinator::Stats EngineSession::stats() const {
-  return coordinator_.stats();
 }
 
 std::vector<PolicyChain::PolicyStats> EngineSession::policy_stats() const {
@@ -341,18 +317,6 @@ void EngineSession::forget_client(const MacAddress& mac) {
 
 void EngineSession::worker_loop(std::size_t w) {
   Worker& wk = *workers_[w];
-  if (config_.placement.pin_workers) {
-    int core = -1;
-    if (!config_.placement.cores.empty()) {
-      core = config_.placement.cores[w % config_.placement.cores.size()];
-    } else {
-      const unsigned hw = std::thread::hardware_concurrency();
-      if (hw > 0) core = static_cast<int>(w % hw);
-    }
-    if (pin_current_thread(core)) {
-      stats_.workers_pinned.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
   try {
     for (;;) {
       wk.bell.wait(

@@ -90,16 +90,4 @@ FrameDecision Coordinator::process_prejudged(
   return chain_.run(ctx);
 }
 
-Coordinator::Stats Coordinator::stats() const {
-  Stats s;
-  s.frames = chain_.frames();
-  s.accepted = chain_.accepted();
-  s.dropped_fence = chain_.drops(FencePolicy::kName);
-  s.dropped_spoof = chain_.drops(SpoofPolicy::kName);
-  s.dropped_undecodable = chain_.drops(DecodePolicy::kName);
-  s.dropped_policy = s.frames - s.accepted - s.dropped_fence -
-                     s.dropped_spoof - s.dropped_undecodable;
-  return s;
-}
-
 }  // namespace sa

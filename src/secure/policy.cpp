@@ -6,14 +6,6 @@
 
 namespace sa {
 
-FrameAction FrameDecision::action() const {
-  if (accepted) return FrameAction::kAccept;
-  if (policy == DecodePolicy::kName) return FrameAction::kDropUndecodable;
-  if (policy == SpoofPolicy::kName) return FrameAction::kDropSpoof;
-  if (policy == FencePolicy::kName) return FrameAction::kDropFence;
-  return FrameAction::kDropPolicy;
-}
-
 FrameContext::FrameContext(const std::vector<ApObservation>& observations,
                            const ApObservation& best, std::size_t frame_index,
                            std::optional<SpoofObservation> spoof)
@@ -133,14 +125,18 @@ RateLimitPolicy::RateLimitPolicy(RateLimitConfig config)
 }
 
 void RateLimitPolicy::retire_until(std::uint64_t now) {
+  SA_EXPECTS(now >= clock_);
+  clock_ = now;
   // Retire admits that have left the window: the decrement for an admit
   // at frame a is due at a + window_frames, i.e. exactly when the old
   // implementation's prune dropped a (a < now - window_frames + 1).
-  wheel_.advance(now, [&](Decrement d, std::uint64_t) {
+  while (!pending_.empty() && pending_.front().due <= now) {
+    const Decrement d = pending_.front();
+    pending_.pop_front();
     RateState* st = history_.find(d.mac);  // pure read: no LRU touch
-    if (st == nullptr || st->generation != d.generation) return;
+    if (st == nullptr || st->generation != d.generation) continue;
     if (--st->in_window == 0) history_.erase(d.mac);
-  });
+  }
 }
 
 void RateLimitPolicy::advance_to(std::size_t frame) { retire_until(frame); }
@@ -162,8 +158,8 @@ PolicyVerdict RateLimitPolicy::evaluate(FrameContext& ctx) {
     // max_frames residue would deny forever.
     r.value->restart_pending = false;
     for (std::uint32_t i = 0; i < r.value->in_window; ++i) {
-      wheel_.schedule(now + config_.window_frames,
-                      Decrement{mac, r.value->generation});
+      pending_.push_back({now + config_.window_frames, r.value->generation,
+                          mac});
     }
   }
   if (r.value->in_window >= config_.max_frames) {
@@ -171,8 +167,7 @@ PolicyVerdict RateLimitPolicy::evaluate(FrameContext& ctx) {
     return PolicyVerdict::deny(kDetailLimited);
   }
   ++r.value->in_window;
-  wheel_.schedule(now + config_.window_frames,
-                  Decrement{mac, r.value->generation});
+  pending_.push_back({now + config_.window_frames, r.value->generation, mac});
   return PolicyVerdict::accept();
 }
 

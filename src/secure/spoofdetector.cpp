@@ -6,10 +6,8 @@ SpoofDetector::SpoofDetector(TrackerConfig tracker_config,
                              std::size_t max_tracked_macs,
                              std::size_t idle_expiry_frames)
     : tracker_config_(tracker_config),
-      max_tracked_macs_(max_tracked_macs),
       idle_expiry_frames_(idle_expiry_frames),
-      trackers_(max_tracked_macs),
-      filter_(max_tracked_macs > 0 ? max_tracked_macs : 1024) {}
+      trackers_(max_tracked_macs) {}
 
 SpoofObservation SpoofDetector::observe(const MacAddress& source,
                                         const AoaSignature& signature) {
@@ -19,23 +17,15 @@ SpoofObservation SpoofDetector::observe(const MacAddress& source,
 SpoofObservation SpoofDetector::observe(const MacAddress& source,
                                         const SubbandSignature& signature) {
   const std::uint64_t now = ++packets_;
-  if (idle_expiry_frames_ > 0) expire_idle(now);
-
-  auto r = trackers_.get_or_emplace(source, tracker_config_);
-  if (r.inserted) {
-    if (r.evicted) {
-      ++evictions_;
-      filter_.note_erase();
-    }
-    filter_.insert(source);
-    maybe_rebuild_filter();
-    if (idle_expiry_frames_ > 0) {
-      wheel_.schedule(now + idle_expiry_frames_, source);
-    }
+  if (idle_expiry_frames_ > 0) {
+    // The LRU tail holds the smallest last_seen, so the idle trackers
+    // are exactly a prefix of the list read from its tail.
+    expirations_ += trackers_.erase_lru_while([&](const Entry& e) {
+      return e.last_seen + idle_expiry_frames_ <= now;
+    });
   }
-  r.value->last_seen = now;
 
-  const TrackerDecision d = r.value->tracker.observe(signature);
+  const TrackerDecision d = admit(source, now).tracker.observe(signature);
   SpoofObservation out;
   out.score = d.score;
   switch (d.verdict) {
@@ -53,43 +43,21 @@ SpoofObservation SpoofDetector::observe(const MacAddress& source,
   return out;
 }
 
-void SpoofDetector::expire_idle(std::uint64_t now) {
-  // Lazy rescheduling (mintmr-style): each live entry has exactly one
-  // outstanding wheel event. When it fires we either expire the entry
-  // (idle since the deadline was set) or push the event out to the
-  // entry's true deadline — one O(1) reschedule per idle period instead
-  // of one per observation.
-  wheel_.advance(now, [&](MacAddress mac, std::uint64_t) {
-    const Entry* e = trackers_.find(mac);
-    if (e == nullptr) return;  // forgotten or evicted since scheduling
-    const std::uint64_t deadline = e->last_seen + idle_expiry_frames_;
-    if (deadline > wheel_.now()) {
-      wheel_.schedule(deadline, mac);
-      return;
-    }
-    trackers_.erase(mac);
-    filter_.note_erase();
-    ++expirations_;
-  });
-  maybe_rebuild_filter();
-}
-
-void SpoofDetector::maybe_rebuild_filter() {
-  if (!filter_.should_rebuild(trackers_.size())) return;
-  filter_.rebuild(trackers_.size(), [this](auto&& add) {
-    trackers_.for_each([&](const MacAddress& key, const Entry&) { add(key); });
-  });
+SpoofDetector::Entry& SpoofDetector::admit(const MacAddress& source,
+                                           std::uint64_t now) {
+  const auto r = trackers_.get_or_emplace(source, tracker_config_);
+  if (r.evicted) ++evictions_;
+  r.value->last_seen = now;
+  return *r.value;
 }
 
 const SignatureTracker* SpoofDetector::tracker(const MacAddress& source) const {
-  if (!filter_.maybe_contains(source)) return nullptr;  // definite miss
   const Entry* e = trackers_.find(source);
   return e == nullptr ? nullptr : &e->tracker;
 }
 
 std::optional<TrackerSnapshot> SpoofDetector::export_tracker(
     const MacAddress& source) const {
-  if (!filter_.maybe_contains(source)) return std::nullopt;
   const Entry* e = trackers_.find(source);
   if (e == nullptr) return std::nullopt;
   return e->tracker.snapshot();
@@ -97,31 +65,13 @@ std::optional<TrackerSnapshot> SpoofDetector::export_tracker(
 
 void SpoofDetector::import_tracker(const MacAddress& source,
                                    const TrackerSnapshot& snap) {
-  // Mirror observe()'s insertion path with now = packets_ (no tick):
-  // the entry becomes the most-recently-seen client, with a full idle
+  // observe()'s insertion path with now = packets_ (no tick): the
+  // entry becomes the most-recently-seen client, with a full idle
   // window ahead of it, without advancing any other client's clock.
-  const std::uint64_t now = packets_;
-  auto r = trackers_.get_or_emplace(source, tracker_config_);
-  if (r.inserted) {
-    if (r.evicted) {
-      ++evictions_;
-      filter_.note_erase();
-    }
-    filter_.insert(source);
-    maybe_rebuild_filter();
-    if (idle_expiry_frames_ > 0) {
-      wheel_.schedule(now + idle_expiry_frames_, source);
-    }
-  }
-  r.value->last_seen = now;
-  r.value->tracker.restore(snap);
+  admit(source, packets_).tracker.restore(snap);
 }
 
-void SpoofDetector::forget(const MacAddress& source) {
-  if (!trackers_.erase(source)) return;
-  filter_.note_erase();
-  maybe_rebuild_filter();
-}
+void SpoofDetector::forget(const MacAddress& source) { trackers_.erase(source); }
 
 SpoofDetectorStats SpoofDetector::stats() const {
   return SpoofDetectorStats{packets_, alarms_, trackers_.size(), evictions_,

@@ -12,7 +12,7 @@ StreamingReceiver::StreamingReceiver(AccessPoint& ap, StreamingConfig config)
       config_(config),
       cond_(ap.config().geometry.size()),
       detector_(ap.detector().config()) {
-  SA_EXPECTS(config_.history_samples > kPreambleLen + config_.tail_guard);
+  SA_EXPECTS(config_.history_samples >= kPreambleLen + kSymbolLen);
   SA_EXPECTS(config_.max_packet_samples < config_.history_samples);
 }
 

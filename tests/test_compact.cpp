@@ -2,10 +2,8 @@
 // against a reference model (std::unordered_map + std::list recency)
 // under heavy churn with an adversarial hash, backward-shift deletion
 // keeping probe runs findable, exact recency order across rehash and
-// copy/move; MacPrefilter's zero-false-negative guarantee across
-// eviction epochs and rebuilds; TimerWheel expiry ordering across
-// levels and the overflow cascade at the 2^32 boundary; and the
-// RateLimitPolicy's wheel-based window matching a sliding-window
+// copy/move, and erase_lru_while popping exactly the stale LRU prefix;
+// and the RateLimitPolicy's decrement FIFO matching a sliding-window
 // reference decision-for-decision.
 #include <gtest/gtest.h>
 
@@ -20,8 +18,6 @@
 #include <vector>
 
 #include "sa/common/compact/flat_lru_map.hpp"
-#include "sa/common/compact/mac_prefilter.hpp"
-#include "sa/common/compact/timer_wheel.hpp"
 #include "sa/mac/address.hpp"
 #include "sa/secure/coordinator.hpp"
 #include "sa/secure/policy.hpp"
@@ -90,11 +86,16 @@ class ReferenceLru {
     return it == index_.end() ? nullptr : &it->second->second;
   }
 
-  int* touch(int key) {
-    auto it = index_.find(key);
-    if (it == index_.end()) return nullptr;
-    order_.splice(order_.begin(), order_, it->second);
-    return &it->second->second;
+  /// Erase least-recently-used entries while their value is below
+  /// `bound`; returns how many were erased.
+  std::size_t erase_lru_below(int bound) {
+    std::size_t erased = 0;
+    while (!order_.empty() && order_.back().second < bound) {
+      index_.erase(order_.back().first);
+      order_.pop_back();
+      ++erased;
+    }
+    return erased;
   }
 
   bool erase(int key) {
@@ -117,8 +118,10 @@ class ReferenceLru {
   std::unordered_map<int, std::list<std::pair<int, int>>::iterator> index_;
 };
 
-std::vector<std::pair<int, int>> mru_order(
-    const FlatLruMap<int, int, CollidingHash>& map) {
+/// (key, value) pairs from most to least recently used: the order
+/// eviction and erase_lru_while consume from the back.
+template <class Hash>
+std::vector<std::pair<int, int>> mru_order(const FlatLruMap<int, int, Hash>& map) {
   std::vector<std::pair<int, int>> out;
   map.for_each_lru([&](int k, int v) { out.emplace_back(k, v); });
   return out;
@@ -141,7 +144,7 @@ TEST(FlatLruMap, MatchesReferenceModelUnderChurn) {
         ASSERT_EQ(got.inserted, want.inserted) << "step " << step;
         ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
         if (want.evicted) {
-          ASSERT_EQ(got.evicted_key, want.evicted_key) << "step " << step;
+          ASSERT_EQ(map.find(want.evicted_key), nullptr) << "step " << step;
         }
         if (want.inserted) *ref.find(key) = *got.value;  // same stored value
         break;
@@ -155,13 +158,11 @@ TEST(FlatLruMap, MatchesReferenceModelUnderChurn) {
         }
         break;
       }
-      case 2: {  // read with recency refresh
-        int* got = map.touch(key);
-        int* want = ref.touch(key);
-        ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
-        if (want != nullptr) {
-          ASSERT_EQ(*got, *want) << "step " << step;
-        }
+      case 2: {  // pop the LRU tail while its value is small
+        const int bound = static_cast<int>(rng.below(0x8000));
+        ASSERT_EQ(map.erase_lru_while([&](int v) { return v < bound; }),
+                  ref.erase_lru_below(bound))
+            << "step " << step;
         break;
       }
       case 3:  // backward-shift erase
@@ -198,64 +199,86 @@ TEST(FlatLruMap, EvictsLeastRecentlyUsedAtBound) {
   map.get_or_emplace(1, 10);
   map.get_or_emplace(2, 20);
   map.get_or_emplace(3, 30);
-  ASSERT_NE(map.lru_key(), nullptr);
-  EXPECT_EQ(*map.lru_key(), 1);
-  map.touch(1);  // 2 becomes LRU
+  EXPECT_EQ(mru_order(map).back().first, 1);
+  map.get_or_emplace(1, 0);  // a hit refreshes: 2 becomes LRU
   const auto r = map.get_or_emplace(4, 40);
   EXPECT_TRUE(r.inserted);
   EXPECT_TRUE(r.evicted);
-  EXPECT_EQ(r.evicted_key, 2);
-  EXPECT_FALSE(map.contains(2));
-  EXPECT_TRUE(map.contains(1));
+  EXPECT_EQ(map.find(2), nullptr);
+  ASSERT_NE(map.find(1), nullptr);
+  EXPECT_EQ(*map.find(1), 10);  // the hit kept the stored value
   EXPECT_EQ(map.size(), 3u);
 }
 
-TEST(FlatLruMap, FindDoesNotRefreshRecencyButTouchDoes) {
+TEST(FlatLruMap, FindDoesNotRefreshRecencyButGetOrEmplaceDoes) {
   FlatLruMap<int, int> map(8);
   map.get_or_emplace(1, 0);
   map.get_or_emplace(2, 0);
   map.find(1);  // pure read: 1 stays LRU
-  ASSERT_NE(map.lru_key(), nullptr);
-  EXPECT_EQ(*map.lru_key(), 1);
-  map.touch(1);  // now 2 is LRU
-  EXPECT_EQ(*map.lru_key(), 2);
-  EXPECT_EQ(*map.mru_key(), 1);
+  EXPECT_EQ(mru_order(map), (std::vector<std::pair<int, int>>{{2, 0}, {1, 0}}));
+  map.get_or_emplace(1, 0);  // now 2 is LRU
+  EXPECT_EQ(mru_order(map), (std::vector<std::pair<int, int>>{{1, 0}, {2, 0}}));
+}
+
+TEST(FlatLruMap, EraseLruWhileStopsAtTheFirstEntryToKeep) {
+  // Only the tail is read: popping stops at the first entry the
+  // predicate keeps, even when a matching entry sits ahead of it. (The
+  // spoof detector stamps an entry whenever it refreshes it, so there
+  // the matching entries are exactly a prefix from the tail.)
+  FlatLruMap<int, int, CollidingHash> map(0);
+  for (int k = 0; k < 40; ++k) map.get_or_emplace(k, k);
+  map.get_or_emplace(3, 3);  // refreshed: now most recent, value still 3
+  // Pops 0, 1, 2, 4..9; stops at 10 and leaves 3 (ahead of the stop).
+  EXPECT_EQ(map.erase_lru_while([](int v) { return v < 10; }), 9u);
+  EXPECT_EQ(map.size(), 31u);
+  EXPECT_EQ(mru_order(map).back().first, 10);
+  ASSERT_NE(map.find(3), nullptr);
+  for (int k = 10; k < 40; ++k) ASSERT_NE(map.find(k), nullptr) << k;
+  EXPECT_EQ(map.erase_lru_while([](int) { return true; }), 31u);
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.erase_lru_while([](int) { return true; }), 0u);
 }
 
 TEST(FlatLruMap, RehashPreservesRecencyOrderExactly) {
   // Unbounded map grown through several rehashes; the recency order
-  // must come out identical to the insertion/touch history.
+  // must come out identical to the insertion/refresh history.
   FlatLruMap<int, int, CollidingHash> map(0);
   ReferenceLru ref(0);
-  for (int k = 0; k < 500; ++k) {
+  map.get_or_emplace(0, 0);
+  ref.get_or_emplace(0, 0);
+  const std::size_t first_slots = map.memory_bytes() - sizeof(map);
+  for (int k = 1; k < 500; ++k) {
     map.get_or_emplace(k, k);
     ref.get_or_emplace(k, k);
     if (k % 3 == 0 && k > 10) {
-      map.touch(k / 2);
-      ref.touch(k / 2);
+      map.get_or_emplace(k / 2, 0);  // refresh an older key
+      ref.get_or_emplace(k / 2, 0);
     }
   }
-  EXPECT_GT(map.capacity(), 500u);  // it did rehash
+  // It did rehash: from the minimum 8 slots to 1024.
+  EXPECT_GE(map.memory_bytes() - sizeof(map), 64 * first_slots);
   EXPECT_EQ(mru_order(map), ref.mru_order());
 }
 
 TEST(FlatLruMap, CopyAndMovePreserveEntriesAndOrder) {
   FlatLruMap<int, int, CollidingHash> map(16);
   for (int k = 0; k < 16; ++k) map.get_or_emplace(k, k * 2);
-  map.touch(3);
+  map.get_or_emplace(3, 0);  // refresh
   map.erase(7);
 
   FlatLruMap<int, int, CollidingHash> copy(map);
   EXPECT_EQ(mru_order(copy), mru_order(map));
-  EXPECT_EQ(copy.max_entries(), map.max_entries());
 
   const auto before = mru_order(map);
   FlatLruMap<int, int, CollidingHash> moved(std::move(map));
   EXPECT_EQ(mru_order(moved), before);
   EXPECT_EQ(map.size(), 0u);  // NOLINT(bugprone-use-after-move): spec'd empty
 
-  copy.get_or_emplace(100, 1);  // the copy is independent
-  EXPECT_FALSE(moved.contains(100));
+  EXPECT_FALSE(copy.get_or_emplace(100, 1).evicted);  // 15 -> 16 entries
+  EXPECT_EQ(moved.find(100), nullptr);  // the copy is independent
+  // The copy kept the bound of 16: the next new key evicts the LRU.
+  EXPECT_TRUE(copy.get_or_emplace(101, 1).evicted);
+  EXPECT_EQ(copy.size(), 16u);
 }
 
 TEST(FlatLruMap, HoldsNonTriviallyCopyableValues) {
@@ -270,134 +293,9 @@ TEST(FlatLruMap, HoldsNonTriviallyCopyableValues) {
   EXPECT_EQ(copy.size(), 4u);
 }
 
-// ---------------------------------------------------- MacPrefilter
-
-TEST(MacPrefilter, NeverFalseNegativeAcrossEvictionEpochs) {
-  // Drive a bounded map through 2000 admissions (31x its capacity) the
-  // way the spoof detector does: insert into the filter at admission,
-  // note_erase on eviction, rebuild when the filter asks. After every
-  // step, every live key must still pass the filter — a single false
-  // negative would make the exact structure invisible.
-  constexpr std::size_t kBound = 64;
-  FlatLruMap<MacAddress, int> live(kBound);
-  MacPrefilter filter(kBound);
-  std::size_t rebuilds = 0;
-  for (std::uint32_t i = 0; i < 2000; ++i) {
-    const MacAddress mac = MacAddress::from_index(i);
-    const auto r = live.get_or_emplace(mac, 0);
-    ASSERT_TRUE(r.inserted);
-    if (r.evicted) filter.note_erase();
-    filter.insert(mac);
-    if (filter.should_rebuild(live.size())) {
-      ++rebuilds;
-      filter.rebuild(live.size(), [&](auto&& add) {
-        live.for_each([&](const MacAddress& key, int) { add(key); });
-      });
-    }
-    live.for_each([&](const MacAddress& key, int) {
-      ASSERT_TRUE(filter.maybe_contains(key))
-          << "false negative after admission " << i;
-    });
-  }
-  EXPECT_GT(rebuilds, 0u) << "the eviction churn never triggered a rebuild";
-}
-
-TEST(MacPrefilter, RebuildRestoresSelectivity) {
-  // After churning far past capacity the un-rebuilt filter saturates;
-  // a rebuild from the 64 live keys must make (nearly) all of the
-  // evicted majority fast-miss again. The bound is loose — blocked
-  // Bloom false positives are expected — but saturation would fail it.
-  constexpr std::size_t kBound = 64;
-  FlatLruMap<MacAddress, int> live(kBound);
-  MacPrefilter filter(kBound);
-  for (std::uint32_t i = 0; i < 4096; ++i) {
-    const auto r = live.get_or_emplace(MacAddress::from_index(i), 0);
-    if (r.evicted) filter.note_erase();
-    filter.insert(MacAddress::from_index(i));
-  }
-  filter.rebuild(live.size(), [&](auto&& add) {
-    live.for_each([&](const MacAddress& key, int) { add(key); });
-  });
-  std::size_t false_positives = 0;
-  for (std::uint32_t i = 0; i < 4096 - kBound; ++i) {  // all evicted keys
-    if (filter.maybe_contains(MacAddress::from_index(i))) ++false_positives;
-  }
-  EXPECT_LT(false_positives, 4096u / 10);
-}
-
-// ------------------------------------------------------ TimerWheel
-
-TEST(TimerWheel, FiresInDeadlineOrderAcrossLevels) {
-  TimerWheel<int> wheel;
-  // Deadlines straddling level 0 (<256), level 1 (<65536) and level 2
-  // (<2^24), scheduled in shuffled order.
-  const std::vector<std::uint64_t> deadlines = {
-      70000, 3, 256, 65535, 1, 255, 65536, (1u << 20) + 3, 257, 4095};
-  for (std::size_t i = 0; i < deadlines.size(); ++i) {
-    wheel.schedule(deadlines[i], static_cast<int>(i));
-  }
-  EXPECT_EQ(wheel.scheduled(), deadlines.size());
-
-  std::vector<std::pair<std::uint64_t, int>> fired;
-  wheel.advance((1u << 20) + 10, [&](int payload, std::uint64_t deadline) {
-    fired.emplace_back(deadline, payload);
-    EXPECT_EQ(wheel.now(), deadline);  // fired exactly on time
-  });
-  ASSERT_EQ(fired.size(), deadlines.size());
-  EXPECT_EQ(wheel.scheduled(), 0u);
-  for (std::size_t i = 1; i < fired.size(); ++i) {
-    EXPECT_LE(fired[i - 1].first, fired[i].first) << "out of order at " << i;
-  }
-  for (std::size_t i = 0; i < fired.size(); ++i) {
-    EXPECT_EQ(fired[i].first, deadlines[fired[i].second]);
-  }
-}
-
-TEST(TimerWheel, PastDeadlineFiresOnNextAdvance) {
-  TimerWheel<int> wheel;
-  wheel.advance(100, [](int, std::uint64_t) { FAIL(); });
-  wheel.schedule(5, 1);  // already past: clamped to now + 1
-  int fired = 0;
-  wheel.advance(101, [&](int, std::uint64_t deadline) {
-    ++fired;
-    EXPECT_EQ(deadline, 101u);
-  });
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(TimerWheel, FireMayRescheduleLazily) {
-  // The spoof detector's idle-expiry pattern: the handler re-schedules
-  // while the wheel is mid-advance and the new event fires later in the
-  // same sweep.
-  TimerWheel<int> wheel;
-  std::vector<std::uint64_t> fired_at;
-  wheel.schedule(10, 0);
-  wheel.advance(400, [&](int hop, std::uint64_t deadline) {
-    fired_at.push_back(deadline);
-    if (hop < 2) wheel.schedule(deadline + 100, hop + 1);
-  });
-  EXPECT_EQ(fired_at, (std::vector<std::uint64_t>{10, 110, 210}));
-  EXPECT_EQ(wheel.scheduled(), 0u);
-}
-
-TEST(TimerWheel, OverflowEventsSurviveTheTopLevelCascade) {
-  // An event more than 2^32 ticks out parks in the overflow list. Start
-  // just below the 2^32 boundary so the top-level cascade (which only
-  // happens every 2^32 ticks) runs after a few steps: the event must be
-  // re-examined and kept — not fired early, not lost.
-  const std::uint64_t boundary = std::uint64_t{1} << 32;
-  TimerWheel<int> wheel(boundary - 100);
-  wheel.schedule(boundary - 100 + (std::uint64_t{1} << 32) + 50, 7);
-  EXPECT_EQ(wheel.scheduled(), 1u);
-  wheel.advance(boundary + 100, [](int, std::uint64_t) {
-    FAIL() << "overflow event fired 2^32 ticks early";
-  });
-  EXPECT_EQ(wheel.scheduled(), 1u);  // survived the cascade intact
-}
-
 // ------------------------------------- RateLimitPolicy equivalence
 
-/// The pre-wheel implementation, reconstructed as a reference: per-MAC
+/// The pre-FIFO implementation, reconstructed as a reference: per-MAC
 /// admit timestamps pruned on access (an admit at frame a leaves the
 /// window once a + window_frames <= now), unbounded tracking.
 class SlidingWindowReference {
@@ -429,7 +327,7 @@ ApObservation rate_obs(const MacAddress& source) {
   return o;
 }
 
-TEST(RateLimitPolicy, WheelMatchesSlidingWindowReference) {
+TEST(RateLimitPolicy, DecrementFifoMatchesSlidingWindowReference) {
   RateLimitConfig cfg;
   cfg.max_frames = 5;
   cfg.window_frames = 37;  // deliberately not a power of two
@@ -442,7 +340,7 @@ TEST(RateLimitPolicy, WheelMatchesSlidingWindowReference) {
   std::size_t denied = 0;
   for (int step = 0; step < 8000; ++step) {
     // Mostly consecutive frames, occasionally a long quiet gap that
-    // drains whole windows (the erase-on-zero path in the wheel).
+    // drains whole windows (the erase-on-zero path in the FIFO).
     now += rng.below(100) == 0 ? 300 : 1 + rng.below(3);
     const MacAddress mac =
         MacAddress::from_index(static_cast<std::uint32_t>(rng.below(8)));
@@ -479,7 +377,7 @@ TEST(RateLimitPolicy, DeniedFramesDoNotConsumeBudget) {
 
 TEST(RateLimitPolicy, EvictionGenerationGuardsStaleDecrements) {
   // Tight tracking bound: MAC A's window entry is LRU-evicted by other
-  // traffic while its decrement is still parked in the wheel. When A
+  // traffic while its decrement is still pending in the FIFO. When A
   // returns (a fresh generation), the stale decrement must not debit
   // the new window — otherwise A would get budget it never had.
   RateLimitConfig cfg;
@@ -498,7 +396,7 @@ TEST(RateLimitPolicy, EvictionGenerationGuardsStaleDecrements) {
   EXPECT_TRUE(eval(3, 2));   // ...and evict A
   EXPECT_TRUE(eval(1, 3));   // A re-enters with a fresh window (gen 4)
   EXPECT_FALSE(eval(1, 4));  // and is at its 1-frame limit
-  // At 50 the stale generation-1 decrement fires and must be ignored;
+  // At 50 the stale generation-1 decrement is retired and must be ignored;
   // A's live admit from frame 3 expires at 53, not before.
   EXPECT_FALSE(eval(1, 50));
   EXPECT_FALSE(eval(1, 52));

@@ -269,12 +269,12 @@ TEST(Coordinator, AcceptsLegitimateIndoorClient) {
     const auto obs = rig.uplink(rig.tb.client(5).position, mac);
     ASSERT_FALSE(obs.empty());
     const auto d = coord.process(obs);
-    EXPECT_NE(d.action(), FrameAction::kDropFence) << i;
-    EXPECT_NE(d.action(), FrameAction::kDropSpoof) << i;
+    EXPECT_NE(d.policy, FencePolicy::kName) << i;
+    EXPECT_NE(d.policy, SpoofPolicy::kName) << i;
     ASSERT_TRUE(d.source.has_value());
     EXPECT_EQ(*d.source, mac);
   }
-  EXPECT_GE(coord.stats().accepted, 7u);
+  EXPECT_GE(coord.chain().policy_stats().back().accepted, 7u);
   // Location produced and accurate.
   const auto obs = rig.uplink(rig.tb.client(5).position, mac);
   const auto d = coord.process(obs);
@@ -294,7 +294,7 @@ TEST(Coordinator, DropsOutdoorTransmitter) {
     if (obs.size() < 2) continue;  // not enough APs heard it: no frame anyway
     ++observed;
     const auto d = coord.process(obs);
-    if (d.action() == FrameAction::kDropFence) ++fence_drops;
+    if (d.policy == FencePolicy::kName) ++fence_drops;
   }
   ASSERT_GT(observed, 0);
   EXPECT_EQ(fence_drops, observed);
@@ -316,10 +316,11 @@ TEST(Coordinator, DropsSpoofedFrames) {
     const auto obs = rig.uplink(rig.tb.client(17).position, mac);
     ASSERT_FALSE(obs.empty());
     const auto d = coord.process(obs);
-    if (d.action() == FrameAction::kDropSpoof) ++spoof_drops;
+    if (d.policy == SpoofPolicy::kName) ++spoof_drops;
   }
   EXPECT_GE(spoof_drops, 5);
-  EXPECT_EQ(coord.stats().dropped_spoof, static_cast<std::size_t>(spoof_drops));
+  EXPECT_EQ(coord.chain().drops(SpoofPolicy::kName),
+            static_cast<std::size_t>(spoof_drops));
 }
 
 TEST(Coordinator, FenceDisabledStillDetectsSpoof) {
@@ -331,7 +332,7 @@ TEST(Coordinator, FenceDisabledStillDetectsSpoof) {
     coord.process(rig.uplink(rig.tb.client(3).position, mac));
   }
   const auto d = coord.process(rig.uplink(rig.tb.client(9).position, mac));
-  EXPECT_EQ(d.action(), FrameAction::kDropSpoof);
+  EXPECT_EQ(d.policy, SpoofPolicy::kName);
   EXPECT_FALSE(d.location.has_value());
 }
 

@@ -1,12 +1,17 @@
 // Unit tests for the composable SecurityPolicy chain: ordering and
 // short-circuiting, per-policy counters, the built-in policies (decode,
 // ACL, fence, spoof, rate limit), FrameContext's cached localization,
-// the legacy FrameAction mapping, string_view detail stability across
-// copies, and the spoof detector's LRU tracker bound.
+// string_view detail stability across copies, and the spoof detector's
+// LRU tracker bound and idle expiry.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <list>
 #include <memory>
+#include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "sa/common/angles.hpp"
@@ -143,24 +148,6 @@ TEST(PolicyChain, EmptyChainAcceptsEverything) {
   EXPECT_TRUE(d.accepted);
   EXPECT_EQ(d.detail, "accepted");
   EXPECT_TRUE(d.trace.empty());
-}
-
-TEST(FrameDecision, ActionMapsDefaultChainBackToLegacyEnum) {
-  FrameDecision d;
-  EXPECT_EQ(d.action(), FrameAction::kAccept);
-  d.accepted = false;
-  d.policy = DecodePolicy::kName;
-  EXPECT_EQ(d.action(), FrameAction::kDropUndecodable);
-  d.policy = SpoofPolicy::kName;
-  EXPECT_EQ(d.action(), FrameAction::kDropSpoof);
-  d.policy = FencePolicy::kName;
-  EXPECT_EQ(d.action(), FrameAction::kDropFence);
-  d.policy = AclPolicy::kName;
-  EXPECT_EQ(d.action(), FrameAction::kDropPolicy);
-  d.policy = RateLimitPolicy::kName;
-  EXPECT_EQ(d.action(), FrameAction::kDropPolicy);
-  d.policy = "someone-elses-policy";
-  EXPECT_EQ(d.action(), FrameAction::kDropPolicy);
 }
 
 TEST(FrameContext, LocalizationIsSolvedOnceAndCached) {
@@ -390,6 +377,28 @@ TEST(RateLimitPolicy, BoundsTrackedMacsWithLruEviction) {
   EXPECT_EQ(policy.evictions(), 1u);
 }
 
+TEST(RateLimitPolicy, RejectsAFrameClockThatGoesBackwards) {
+  // Every decrement falls due a fixed window after its frame index, so
+  // the pending decrements retire in order only while that index never
+  // decreases. A rejected call leaves the window untouched.
+  RateLimitConfig cfg;
+  cfg.max_frames = 2;
+  cfg.window_frames = 10;
+  RateLimitPolicy policy(cfg);
+  const auto obs = two_ap_view({6.0, 4.0}, MacAddress::from_index(1));
+  auto eval = [&](std::size_t index) {
+    auto ctx = context_for(obs, index);
+    return policy.evaluate(ctx).drop;
+  };
+  EXPECT_FALSE(eval(5));
+  EXPECT_FALSE(eval(5));  // the same index again is not a step back
+  EXPECT_THROW(eval(4), InvalidArgument);
+  policy.advance_to(7);
+  EXPECT_THROW(policy.advance_to(6), InvalidArgument);
+  EXPECT_TRUE(eval(7));    // both admits at 5 are still in the window
+  EXPECT_FALSE(eval(15));  // and both leave it at 15
+}
+
 TEST(RateLimitPolicy, RejectsDegenerateConfig) {
   RateLimitConfig zero_frames;
   zero_frames.max_frames = 0;
@@ -457,9 +466,11 @@ TEST(Coordinator, RunsCustomPolicyChain) {
       coord.process(two_ap_view({6, 4}, MacAddress::from_index(13)));
   EXPECT_FALSE(banned.accepted);
   EXPECT_EQ(banned.policy, "ban");
-  EXPECT_EQ(banned.action(), FrameAction::kDropPolicy);
-  EXPECT_EQ(coord.stats().frames, 2u);
-  EXPECT_EQ(coord.stats().dropped_policy, 1u);
+  const auto& rows = coord.chain().policy_stats();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].evaluated, 2u);
+  EXPECT_EQ(rows[1].name, "ban");
+  EXPECT_EQ(rows[1].dropped, 1u);
 }
 
 TEST(Coordinator, AclChainRequiresAclConfig) {
@@ -526,6 +537,143 @@ TEST(SpoofDetector, UnboundedByDefault) {
   }
   EXPECT_EQ(det.stats().tracked_macs, 64u);
   EXPECT_EQ(det.stats().evictions, 0u);
+}
+
+/// Brute-force model of SpoofDetector's per-MAC bookkeeping: a list in
+/// recency order plus an index, the LRU bound, and idle expiry checked
+/// against every tracked MAC at each observation tick (no reliance on
+/// the list being in last-seen order).
+class SpoofBookkeepingModel {
+ public:
+  SpoofBookkeepingModel(std::size_t bound, std::size_t idle)
+      : bound_(bound), idle_(idle) {}
+
+  void observe(const MacAddress& mac) {
+    ++tick_;
+    if (idle_ > 0) {
+      for (auto it = lru_.begin(); it != lru_.end();) {
+        if (it->last_seen + idle_ <= tick_) {
+          index_.erase(it->mac);
+          it = lru_.erase(it);
+          ++expirations_;
+        } else {
+          ++it;
+        }
+      }
+    }
+    ++admit(mac).observations;
+  }
+  void import(const MacAddress& mac, std::size_t observations) {
+    admit(mac).observations = observations;
+  }
+  void forget(const MacAddress& mac) {
+    const auto it = index_.find(mac);
+    if (it == index_.end()) return;
+    lru_.erase(it->second);
+    index_.erase(it);
+  }
+  /// Observation count of a tracked MAC; nullopt when untracked.
+  std::optional<std::size_t> observations(const MacAddress& mac) const {
+    const auto it = index_.find(mac);
+    if (it == index_.end()) return std::nullopt;
+    return it->second->observations;
+  }
+
+  std::size_t size() const { return lru_.size(); }
+  std::size_t evictions() const { return evictions_; }
+  std::size_t expirations() const { return expirations_; }
+
+ private:
+  struct Entry {
+    MacAddress mac;
+    std::uint64_t last_seen = 0;
+    std::size_t observations = 0;
+  };
+
+  /// Make `mac` most recently used at the current tick.
+  Entry& admit(const MacAddress& mac) {
+    const auto it = index_.find(mac);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+    } else {
+      if (bound_ > 0 && lru_.size() >= bound_) {
+        index_.erase(lru_.back().mac);
+        lru_.pop_back();
+        ++evictions_;
+      }
+      lru_.push_front(Entry{mac, 0, 0});
+      index_[mac] = lru_.begin();
+    }
+    lru_.front().last_seen = tick_;
+    return lru_.front();
+  }
+
+  std::size_t bound_;
+  std::size_t idle_;
+  std::uint64_t tick_ = 0;
+  std::list<Entry> lru_;  ///< front = most recently used
+  std::unordered_map<MacAddress, std::list<Entry>::iterator> index_;
+  std::size_t evictions_ = 0;
+  std::size_t expirations_ = 0;
+};
+
+TEST(SpoofDetector, IdleExpiryMatchesReferenceModelUnderChurn) {
+  constexpr int kMacs = 16;
+  const std::vector<AoaSignature> sigs = {signature_at(30.0),
+                                          signature_at(150.0),
+                                          signature_at(270.0)};
+  std::size_t total_evictions = 0, total_expirations = 0;
+  for (const std::size_t bound : {std::size_t{0}, std::size_t{6}}) {
+    for (const std::size_t idle : {1, 5, 23}) {
+      SCOPED_TRACE(testing::Message() << "bound " << bound << " idle " << idle);
+      SpoofDetector det(TrackerConfig{}, bound, idle);
+      SpoofBookkeepingModel model(bound, idle);
+      std::mt19937_64 rng(bound * 100 + idle);
+      const auto mac_at = [&] {
+        return MacAddress::from_index(static_cast<std::uint32_t>(rng() % kMacs));
+      };
+      for (int step = 0; step < 6000; ++step) {
+        const MacAddress mac = mac_at();
+        const std::uint64_t op = rng() % 6;
+        if (op < 4) {
+          det.observe(mac, sigs[rng() % sigs.size()]);
+          model.observe(mac);
+        } else if (op == 4) {  // hand `from`'s tracker over to `mac`
+          const MacAddress from = mac_at();
+          const auto snap = det.export_tracker(from);
+          ASSERT_EQ(snap.has_value(), model.observations(from).has_value())
+              << "step " << step;
+          if (snap) {
+            det.import_tracker(mac, *snap);
+            model.import(mac, *model.observations(from));
+          }
+        } else {
+          det.forget(mac);
+          model.forget(mac);
+        }
+        const SpoofDetectorStats st = det.stats();
+        ASSERT_EQ(st.tracked_macs, model.size()) << "step " << step;
+        ASSERT_EQ(st.evictions, model.evictions()) << "step " << step;
+        ASSERT_EQ(st.expirations, model.expirations()) << "step " << step;
+        for (int m = 0; m < kMacs; ++m) {
+          const MacAddress probe = MacAddress::from_index(m);
+          const SignatureTracker* t = det.tracker(probe);
+          const auto want = model.observations(probe);
+          ASSERT_EQ(t != nullptr, want.has_value())
+              << "step " << step << " mac " << m;
+          if (t != nullptr) {
+            ASSERT_EQ(t->observations(), *want)
+                << "step " << step << " mac " << m;
+          }
+        }
+      }
+      total_evictions += model.evictions();
+      total_expirations += model.expirations();
+    }
+  }
+  // Both branches must actually run, or the comparison proves nothing.
+  EXPECT_GT(total_evictions, 0u);
+  EXPECT_GT(total_expirations, 0u);
 }
 
 TEST(ShardedSpoofDetector, SplitsTrackerBudgetAcrossShards) {

@@ -345,8 +345,8 @@ TEST(Replay, RefusesHeadersBeyondTheBuildBound) {
     EXPECT_LT(std::chrono::steady_clock::now() - start,
               std::chrono::seconds(1));
   }
-  // sa.max_tracked sizes every site's MAC prefilters: 4e9 is refused
-  // before anything is built, kMaxTrackedMacs is the largest accepted.
+  // sa.max_tracked is capped: 4e9 is refused before anything is built,
+  // kMaxTrackedMacs is the largest accepted.
   for (CaptureHeader header : {capture_header_for(small_spec()),
                                fleet_header_for(small_fleet(4))}) {
     header.metadata.emplace_back("sa.max_tracked", "4000000000");

@@ -178,7 +178,6 @@ void expect_identical_streams(const std::vector<EngineDecision>& a,
     const FrameDecision& da = a[i].decision;
     const FrameDecision& db = b[i].decision;
     EXPECT_EQ(da.accepted, db.accepted);
-    EXPECT_EQ(da.action(), db.action());
     EXPECT_EQ(da.policy, db.policy);
     EXPECT_EQ(da.source, db.source);
     EXPECT_EQ(da.spoof, db.spoof);
@@ -256,13 +255,14 @@ TEST(Session, StatsMatchSerialCoordinatorWithGapFreeSequences) {
   EngineSession session(rig.session_config(4), rig.ptrs,
                         [&](const EngineDecision& d) { out.push_back(d); });
   rig.feed(session, /*lockstep=*/true);
-  EXPECT_EQ(session.stats().frames, out.size());
-  EXPECT_EQ(session.stats().frames, rig.run_serial_reference().size());
+  const auto rows = session.policy_stats();
+  EXPECT_EQ(rows.front().evaluated, out.size());
+  EXPECT_EQ(rows.front().evaluated, rig.run_serial_reference().size());
   // Decisions come back in one gap-free global order.
   ASSERT_FALSE(out.empty());
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].sequence, i);
   // Both defenses fired somewhere in the mixed workload.
-  EXPECT_GT(session.stats().accepted, 0u);
+  EXPECT_GT(rows.back().accepted, 0u);
   EXPECT_GT(session.spoof_detector().stats().tracked_macs, 0u);
   session.close();
 }
@@ -333,24 +333,18 @@ TEST(Session, FivePolicyChainStatsSumToFrames) {
 
   // Every frame is either accepted by the whole chain or dropped by
   // exactly one policy.
-  const auto st = session.stats();
-  EXPECT_EQ(st.frames, decisions);
+  EXPECT_EQ(rows.front().evaluated, decisions);
   std::size_t drops = 0;
   for (const auto& ps : rows) {
     drops += ps.dropped;
     EXPECT_EQ(ps.evaluated, ps.accepted + ps.dropped);
   }
-  EXPECT_EQ(st.accepted + drops, st.frames);
+  EXPECT_EQ(rows.back().accepted + drops, decisions);
 
   // A policy only ever evaluates what its predecessors let through.
   for (std::size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LE(rows[i].evaluated, rows[i - 1].accepted);
   }
-
-  // The legacy stats view agrees with the per-policy counters.
-  EXPECT_EQ(st.frames, rows.front().evaluated);
-  EXPECT_EQ(st.accepted, rows.back().accepted);
-  EXPECT_EQ(st.dropped_policy, rows[1].dropped + rows[4].dropped);
 
   // The off-site transmitter's unknown MAC hits the ACL; the busiest MAC
   // trips the tight rate limit.
@@ -365,23 +359,20 @@ TEST(Session, ConcurrentStatsReadersSeeTheDrainedTotals) {
   EngineSession session(rig.five_policy_config(4), rig.ptrs,
                         [&](const EngineDecision&) { ++decisions; });
   rig.feed(session, /*lockstep=*/false);
-  const Coordinator::Stats want = session.stats();
   const auto want_rows = session.policy_stats();
-  ASSERT_EQ(want.frames, decisions);
-  ASSERT_GT(want.frames, 0u);
+  ASSERT_EQ(want_rows.front().evaluated, decisions);
+  ASSERT_GT(decisions, 0u);
 
   // The session is drained, so every call from every reader must see
   // exactly these totals.
   std::atomic<std::size_t> mismatches{0};
   const auto reader = [&] {
     for (int i = 0; i < 10000; ++i) {
-      const Coordinator::Stats st = session.stats();
       const auto rows = session.policy_stats();
-      bool same = st.frames == want.frames && st.accepted == want.accepted &&
-                  st.dropped_policy == want.dropped_policy &&
-                  rows.size() == want_rows.size();
+      bool same = rows.size() == want_rows.size();
       for (std::size_t j = 0; same && j < rows.size(); ++j) {
         same = rows[j].evaluated == want_rows[j].evaluated &&
+               rows[j].accepted == want_rows[j].accepted &&
                rows[j].dropped == want_rows[j].dropped;
       }
       if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
@@ -494,23 +485,6 @@ TEST(Session, SubmitRingBackpressureBlocksWithoutChangingOutput) {
                            reference);
   EXPECT_GT(stats.submit_ring_full_blocks, 0u);
   EXPECT_LE(stats.max_submit_ring_occupancy, 1u);
-}
-
-TEST(Session, WorkerPlacementPinningIsDeterministicAndObservable) {
-  SessionRig rig(11);
-  const auto reference = rig.run_serial_reference();
-
-  SessionConfig cfg = rig.session_config(2);
-  cfg.placement.pin_workers = true;
-  cfg.placement.cores = {0};  // every worker on core 0: worst case, legal
-  SessionStats stats;
-  expect_identical_streams(rig.run_session(cfg, /*lockstep=*/false, &stats),
-                           reference);
-#if defined(__linux__)
-  EXPECT_EQ(stats.workers_pinned, 2u);
-#else
-  EXPECT_EQ(stats.workers_pinned, 0u);  // no-op off Linux, by contract
-#endif
 }
 
 #if defined(__linux__)

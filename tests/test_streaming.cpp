@@ -199,10 +199,10 @@ TEST(Streaming, RejectsInvalidConfig) {
   EXPECT_THROW(StreamingReceiver(rig.ap, bad), InvalidArgument);
   bad.max_packet_samples = 4800;
   EXPECT_THROW(StreamingReceiver(rig.ap, bad), InvalidArgument);
-  // History must also cover a preamble plus the tail guard.
+  // History must also hold a preamble plus the SIGNAL symbol, the
+  // least the scan reads.
   StreamingConfig tiny;
   tiny.history_samples = 300;
-  tiny.tail_guard = 480;
   tiny.max_packet_samples = 200;
   EXPECT_THROW(StreamingReceiver(rig.ap, tiny), InvalidArgument);
   // The documented default is valid.

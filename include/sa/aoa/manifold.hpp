@@ -6,9 +6,9 @@
 // vectors depend only on the array and the carrier, which an access
 // point fixes at construction. The table holds exactly the values
 // scan_grid(), ArrayGeometry::steering_vector() and norm() return, and
-// quadratic_form() below keeps sa::quadratic_form's arithmetic order, so
-// a scan over the table is bit-identical to evaluating those calls per
-// grid point.
+// quadratic_forms() below keeps sa::quadratic_form's arithmetic order at
+// every grid point, so a scan over the table is bit-identical to
+// evaluating those calls per grid point.
 #pragma once
 
 #include <cstddef>
@@ -39,36 +39,35 @@ class SteeringManifold {
   /// Circular scan (the pseudospectrum's two ends are neighbours).
   bool wraps() const { return geom_.kind() != ArrayKind::kLinear; }
 
-  /// Steering vector of grid point g: elements() contiguous entries.
-  const cd* row(std::size_t g) const {
-    return table_.data() + g * geom_.size();
+  /// Element j of grid point g's steering vector.
+  cd steering(std::size_t g, std::size_t j) const {
+    return {re_[j * stride_ + g], im_[j * stride_ + g]};
   }
   /// norm(a) * norm(a) of grid point g's steering vector a.
   double norm_sq(std::size_t g) const { return norm_sq_[g]; }
 
-  /// a^H M a for grid point g's steering vector a, bit-identical to
-  /// sa::quadratic_form(a, m): the row sums of M·a first, then
-  /// conj(a)·(M·a), both accumulated from zero in index order.
-  double quadratic_form(std::size_t g, const CMat& m) const {
-    const std::size_t n = geom_.size();
-    SA_EXPECTS(m.rows() == n && m.cols() == n);
-    const cd* a = row(g);
-    const cd* p = m.raw();
-    cd acc{0.0, 0.0};
-    for (std::size_t i = 0; i < n; ++i) {
-      cd s{0.0, 0.0};
-      for (std::size_t j = 0; j < n; ++j) s += p[i * n + j] * a[j];
-      acc += std::conj(a[i]) * s;
-    }
-    return acc.real();
-  }
+  /// out[g] = a^H M a for every grid point's steering vector a (out
+  /// holds size() values), each bit-identical to sa::quadratic_form(a,
+  /// m): the row sums of M·a first, then conj(a)·(M·a), both
+  /// accumulated from zero in index order.
+  void quadratic_forms(const CMat& m, double* out) const;
 
  private:
+  /// The per-point loop quadratic_forms() replaces, kept verbatim as its
+  /// non-finite fallback.
+  double quadratic_form(std::size_t g, const CMat& m) const;
+
   ArrayGeometry geom_;
   double lambda_m_;
   double step_deg_;
   std::vector<double> grid_;
-  std::vector<cd> table_;  ///< size() x elements(), row-major
+  /// The steering table once, as structure of arrays: element j of grid
+  /// point g sits at re_[j * stride_ + g] and im_[j * stride_ + g]. Each
+  /// element's row is zero-padded to stride_, a whole number of scan
+  /// blocks.
+  std::size_t stride_ = 0;
+  std::vector<double> re_;
+  std::vector<double> im_;
   std::vector<double> norm_sq_;
 };
 

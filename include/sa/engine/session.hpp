@@ -64,6 +64,20 @@
 
 namespace sa {
 
+/// Largest |re| or |im| of an IQ sample that EngineSession::submit()
+/// accepts. The pipeline's largest intermediates scale with |x|^4:
+///   - the detector's |P|^2 and R^2 over kScWindow = 96 samples, at most
+///     96^2 * |x|^4;
+///   - the EVD's Frobenius sum over the 2M x 2M real embedding of the
+///     covariance, whose entries are at most |x|^2, so at most
+///     4 M^2 * |x|^4, or 2.7e5 * |x|^4 for M <= kMaxChunkRows = 256.
+/// With components at most 1e64, |x|^2 <= 2e128 and |x|^4 <= 4e256, so
+/// both stay below 1.1e262: 46 decades under DBL_MAX (1.8e308), room for
+/// conditioning gains and filter sums. Past the bound the sums overflow
+/// to Inf and NaN deep in a worker and trip eigh()'s Hermitian check or
+/// the Capon inverse. Recorded captures peak at 2.55.
+inline constexpr double kMaxIqMagnitude = 1e64;
+
 struct SessionConfig {
   EngineConfig engine;
   /// Rounds that may be dispatched but not yet fully decided at once;

@@ -90,8 +90,8 @@ struct LtfPeak {
 /// transposed — taps in the outer loop, positions in the inner one, over
 /// de-interleaved samples — but each position still sums its taps in
 /// order with std::complex's own term grouping, so every value is
-/// bit-identical to a per-position complex loop (no FMA contraction: the
-/// build sets no -march or -ffast-math).
+/// bit-identical to a per-position complex loop (no FMA contraction: see
+/// the note beside add_compile_options in CMakeLists.txt).
 class LtfFineSearch {
  public:
   explicit LtfFineSearch(const CVec& ltf_ref);

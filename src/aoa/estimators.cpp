@@ -112,8 +112,9 @@ MusicResult MusicEstimator::estimate(const SpectralContext& ctx) const {
   const SteeringManifold& manifold =
       ctx.manifold(ctx.processed_geometry(), config_.scan_step_deg);
   std::vector<double> values(manifold.size());
+  manifold.quadratic_forms(noise_proj, values.data());
   for (std::size_t g = 0; g < values.size(); ++g) {
-    const double denom = manifold.quadratic_form(g, noise_proj);
+    const double denom = values[g];
     const double num = manifold.norm_sq(g);
     values[g] = num / std::max(denom, 1e-12 * num);
   }
@@ -128,9 +129,9 @@ Pseudospectrum bartlett_spectrum(const CMat& covariance,
                                  const SteeringManifold& manifold) {
   SA_EXPECTS(covariance.rows() == manifold.elements());
   std::vector<double> values(manifold.size());
+  manifold.quadratic_forms(covariance, values.data());
   for (std::size_t g = 0; g < values.size(); ++g) {
-    const double num = manifold.quadratic_form(g, covariance);
-    values[g] = std::max(num, 0.0) / manifold.norm_sq(g);
+    values[g] = std::max(values[g], 0.0) / manifold.norm_sq(g);
   }
   return Pseudospectrum(manifold.grid(), std::move(values), manifold.wraps());
 }
@@ -157,9 +158,9 @@ Pseudospectrum capon_spectrum_from_inverse(const CMat& r_inverse,
                                            const SteeringManifold& manifold) {
   SA_EXPECTS(r_inverse.rows() == manifold.elements());
   std::vector<double> values(manifold.size());
+  manifold.quadratic_forms(r_inverse, values.data());
   for (std::size_t g = 0; g < values.size(); ++g) {
-    const double q = manifold.quadratic_form(g, r_inverse);
-    values[g] = 1.0 / std::max(q, 1e-30);
+    values[g] = 1.0 / std::max(values[g], 1e-30);
   }
   return Pseudospectrum(manifold.grid(), std::move(values), manifold.wraps());
 }

@@ -8,6 +8,7 @@
 #include "sa/capture/writer.hpp"
 #include "sa/common/error.hpp"
 #include "sa/common/logging.hpp"
+#include "sa/linalg/lanes.hpp"
 
 namespace sa {
 
@@ -102,24 +103,26 @@ bool EngineSession::round_formable() const {
 void EngineSession::submit(std::size_t ap_index, CMat chunk) {
   SA_EXPECTS(ap_index < aps_.size());
   SA_EXPECTS(chunk.rows() == aps_[ap_index]->config().geometry.size());
-  // Reject non-finite IQ at the ingest boundary: a NaN or Inf sample
-  // would otherwise propagate through conditioning into the covariance
-  // eigendecomposition and trip eig()'s Hermitian precondition deep in
-  // a worker (the robustness gap the capture fuzz loop found). Every
-  // ingest path funnels through here — capture replay included — so one
-  // check covers them all, before the chunk is recorded or enters the
-  // rings.
-  {
-    const cd* samples = chunk.raw();
-    const std::size_t n = chunk.rows() * chunk.cols();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!std::isfinite(samples[i].real()) ||
-          !std::isfinite(samples[i].imag())) {
-        throw InvalidArgument(
-            "EngineSession::submit: non-finite IQ sample (index " +
-            std::to_string(i) + ", ap " + std::to_string(ap_index) + ")");
-      }
+  // Reject NaN, Inf and overflow-size IQ at the ingest boundary: such
+  // a sample would otherwise propagate through conditioning into the
+  // covariance eigendecomposition and trip eig()'s Hermitian
+  // precondition or the Capon inverse deep in a worker (the robustness
+  // gap the capture fuzz loop found). One comparison per component,
+  // |v| <= kMaxIqMagnitude, catches all three: NaN compares false.
+  // Every ingest path funnels through here — capture replay included —
+  // so one check covers them all, before the chunk is recorded or
+  // enters the rings.
+  const std::size_t n_samples = chunk.rows() * chunk.cols();
+  if (!lanes::parts_within(chunk.raw(), n_samples, kMaxIqMagnitude)) {
+    std::size_t i = 0;
+    while (std::fabs(chunk.raw()[i].real()) <= kMaxIqMagnitude &&
+           std::fabs(chunk.raw()[i].imag()) <= kMaxIqMagnitude) {
+      ++i;
     }
+    throw InvalidArgument(
+        "EngineSession::submit: IQ sample NaN, Inf or above "
+        "kMaxIqMagnitude (index " + std::to_string(i) + ", ap " +
+        std::to_string(ap_index) + ")");
   }
   SubmitLane& lane = *lanes_[ap_index];
   // Same-AP submitters serialize here; the ring itself stays SPSC. The

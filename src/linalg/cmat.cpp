@@ -130,8 +130,16 @@ double CMat::max_off_diagonal() const {
 
 bool CMat::is_hermitian(double tol) const {
   if (rows_ != cols_) return false;
-  const CMat diff = *this - hermitian();
-  return diff.frobenius_norm() <= tol * (1.0 + frobenius_norm());
+  // ||A - A^H||_F summed entry by entry in row-major order: the same
+  // terms, in the same order, as materializing A - A^H and taking its
+  // frobenius_norm(), without the two temporary matrices.
+  double diff = 0.0;
+  for (std::size_t i = 0; i < rows_; ++i) {
+    for (std::size_t j = 0; j < cols_; ++j) {
+      diff += std::norm((*this)(i, j) - std::conj((*this)(j, i)));
+    }
+  }
+  return std::sqrt(diff) <= tol * (1.0 + frobenius_norm());
 }
 
 CVec CMat::row(std::size_t r) const {

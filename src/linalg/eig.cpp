@@ -1,6 +1,7 @@
 #include "sa/linalg/eig.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -8,32 +9,82 @@
 
 namespace sa {
 
-RealEigResult jacobi_eigh_real(const std::vector<double>& m, std::size_t n,
-                               int max_sweeps, double tol) {
-  SA_EXPECTS(m.size() == n * n);
-  // Working copy A (row-major) and accumulated rotations V (row-major;
-  // eigenvectors end up in V's columns).
-  std::vector<double> a = m;
-  std::vector<double> v(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) v[i * n + i] = 1.0;
+namespace {
+
+/// Matrices up to this order (the 16 x 16 embedding of an 8-antenna
+/// covariance) are worked on in fixed stack storage.
+constexpr std::size_t kStackOrder = 16;
+
+/// Stack storage for n x n doubles when n <= kStackOrder, heap beyond.
+class Square {
+ public:
+  explicit Square(std::size_t n) {
+    if (n > kStackOrder) {
+      heap_.resize(n * n);
+      data_ = heap_.data();
+    }
+  }
+  Square(const Square&) = delete;
+  Square& operator=(const Square&) = delete;
+  double* data() { return data_; }
+
+ private:
+  std::array<double, kStackOrder * kStackOrder> stack_;
+  std::vector<double> heap_;
+  double* data_ = stack_.data();
+};
+
+/// (x, y) <- (c x - s y, s x + c y) over two distinct rows of n
+/// contiguous doubles — the rotation's update of A's rows p, q and of
+/// V^T's rows p, q. The rows never alias, so this vectorizes across k;
+/// each element keeps its own two products and one add.
+void rotate_rows(double* __restrict x, double* __restrict y, std::size_t n,
+                 double c, double s) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double xk = x[k];
+    const double yk = y[k];
+    x[k] = c * xk - s * yk;
+    y[k] = s * xk + c * yk;
+  }
+}
+
+/// Cyclic Jacobi on the row-major n x n symmetric `m`. A is updated in
+/// both triangles, columns first, then rows, exactly as the textbook
+/// sweep does (the 2 x 2 block of rows/columns p, q is rounded twice, so
+/// A is not kept bitwise symmetric and neither update may be skipped).
+/// The accumulated rotations are stored transposed, vt = V^T, so the
+/// rotation's update of V's columns p, q is a contiguous update of vt's
+/// rows; every rotation's arithmetic is unchanged.
+RealEigResult jacobi_core(const double* m, std::size_t n, int max_sweeps,
+                          double tol) {
+  Square a_store(n);
+  Square vt_store(n);
+  double* a = a_store.data();
+  double* vt = vt_store.data();
+  std::copy(m, m + n * n, a);
+  std::fill(vt, vt + n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) vt[i * n + i] = 1.0;
 
   auto A = [&](std::size_t r, std::size_t c) -> double& { return a[r * n + c]; };
-  auto V = [&](std::size_t r, std::size_t c) -> double& { return v[r * n + c]; };
 
   // Scale-aware convergence threshold.
   double fro = 0.0;
-  for (double x : a) fro += x * x;
+  for (std::size_t k = 0; k < n * n; ++k) fro += a[k] * a[k];
   const double thresh = tol * (1.0 + std::sqrt(fro));
 
-  bool converged = (n <= 1);
-  for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
+  auto max_off_upper = [&] {
     double off = 0.0;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
         off = std::max(off, std::abs(A(p, q)));
       }
     }
-    if (off <= thresh) {
+    return off;
+  };
+
+  bool converged = (n <= 1);
+  for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
+    if (max_off_upper() <= thresh) {
       converged = true;
       break;
     }
@@ -51,66 +102,54 @@ RealEigResult jacobi_eigh_real(const std::vector<double>& m, std::size_t n,
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = t * c;
 
-        // Update rows/columns p and q of A (A is symmetric; update both
-        // triangles to keep indexing simple).
+        // Update columns p and q of A, then rows p and q.
         for (std::size_t k = 0; k < n; ++k) {
           const double akp = A(k, p);
           const double akq = A(k, q);
           A(k, p) = c * akp - s * akq;
           A(k, q) = s * akp + c * akq;
         }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double apk = A(p, k);
-          const double aqk = A(q, k);
-          A(p, k) = c * apk - s * aqk;
-          A(q, k) = s * apk + c * aqk;
-        }
-        // Accumulate rotation into V (columns are eigenvectors).
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = V(k, p);
-          const double vkq = V(k, q);
-          V(k, p) = c * vkp - s * vkq;
-          V(k, q) = s * vkp + c * vkq;
-        }
+        rotate_rows(a + p * n, a + q * n, n, c, s);
+        // Accumulate the rotation into V's columns p, q (vt's rows).
+        rotate_rows(vt + p * n, vt + q * n, n, c, s);
       }
     }
   }
   if (!converged) {
     // Final check: Jacobi reduces off-diagonal monotonically, so a miss
     // here means genuinely pathological input.
-    double off = 0.0;
-    for (std::size_t p = 0; p + 1 < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        off = std::max(off, std::abs(A(p, q)));
-      }
-    }
-    if (off > thresh * 100.0) {
+    if (max_off_upper() > thresh * 100.0) {
       throw NumericalError("jacobi_eigh_real: did not converge");
     }
   }
 
+  // Sort ascending, permuting eigenvector columns along.
+  std::array<std::size_t, kStackOrder> order_stack;
+  std::vector<std::size_t> order_heap(n > kStackOrder ? n : 0);
+  std::size_t* order = n > kStackOrder ? order_heap.data() : order_stack.data();
+  std::iota(order, order + n, std::size_t{0});
+  std::sort(order, order + n, [&](std::size_t x, std::size_t y) {
+    return A(x, x) < A(y, y);
+  });
   RealEigResult res;
   res.n = n;
   res.values.resize(n);
-  for (std::size_t i = 0; i < n; ++i) res.values[i] = A(i, i);
-
-  // Sort ascending, permuting eigenvector columns along.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return res.values[x] < res.values[y];
-  });
-  std::vector<double> sorted_vals(n);
-  std::vector<double> sorted_vecs(n * n);
+  res.vectors.resize(n * n);
   for (std::size_t k = 0; k < n; ++k) {
-    sorted_vals[k] = res.values[order[k]];
-    for (std::size_t r = 0; r < n; ++r) {
-      sorted_vecs[k * n + r] = V(r, order[k]);  // column-major output
-    }
+    res.values[k] = A(order[k], order[k]);
+    // Column-major output: column k is V's column order[k], vt's row.
+    std::copy(vt + order[k] * n, vt + (order[k] + 1) * n,
+              res.vectors.begin() + static_cast<std::ptrdiff_t>(k * n));
   }
-  res.values = std::move(sorted_vals);
-  res.vectors = std::move(sorted_vecs);
   return res;
+}
+
+}  // namespace
+
+RealEigResult jacobi_eigh_real(const std::vector<double>& m, std::size_t n,
+                               int max_sweeps, double tol) {
+  SA_EXPECTS(m.size() == n * n);
+  return jacobi_core(m.data(), n, max_sweeps, tol);
 }
 
 EigResult eigh(const CMat& a) {
@@ -120,7 +159,8 @@ EigResult eigh(const CMat& a) {
 
   // Embed A = B + iC into M = [[B, -C], [C, B]] (2n x 2n, symmetric).
   const std::size_t n2 = 2 * n;
-  std::vector<double> m(n2 * n2, 0.0);
+  Square embed(n2);
+  double* m = embed.data();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       const double b = a(i, j).real();
@@ -132,7 +172,7 @@ EigResult eigh(const CMat& a) {
     }
   }
 
-  const RealEigResult real = jacobi_eigh_real(m, n2);
+  const RealEigResult real = jacobi_core(m, n2, 64, 1e-13);
 
   // Each complex eigenvalue appears twice; the real eigenvector pair
   // (x; y) and (-y; x) both map to the complex direction x + iy (up to a

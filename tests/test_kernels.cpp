@@ -16,8 +16,13 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <optional>
+#include <sstream>
+#include <string>
 
 #include "sa/aoa/covariance.hpp"
 #include "sa/aoa/estimator.hpp"
@@ -30,6 +35,8 @@
 #include "sa/dsp/fft.hpp"
 #include "sa/dsp/noise.hpp"
 #include "sa/dsp/units.hpp"
+#include "sa/linalg/eig.hpp"
+#include "sa/linalg/lanes.hpp"
 #include "sa/linalg/lu.hpp"
 #include "sa/phy/convolutional.hpp"
 #include "sa/phy/detector.hpp"
@@ -215,7 +222,9 @@ TEST(ManifoldSpectra, MismatchedBorrowedManifoldIsNotUsed) {
   ASSERT_EQ(right.elements(), geom.size());
   for (std::size_t g = 0; g < right.size(); ++g) {
     const CVec a = geom.steering_vector(right.grid()[g], lambda);
-    expect_same(CVec(right.row(g), right.row(g) + right.elements()), a);
+    CVec row(right.elements());
+    for (std::size_t j = 0; j < row.size(); ++j) row[j] = right.steering(g, j);
+    expect_same(row, a);
     EXPECT_EQ(right.norm_sq(g), norm(a) * norm(a));
   }
 }
@@ -945,6 +954,428 @@ TEST(SchmidlCoxCoarse, EveryPositionIsTheForwardChainFromItsAnchor) {
       anchor = seg_end;
     }
   }
+}
+
+// ------------------------------------------- vectorized AoA kernels
+//
+// The covariance, the whole-grid quadratic form and the Jacobi EVD run
+// many independent accumulators side by side across SIMD lanes. The
+// oracles below are verbatim copies of the loops they replaced, and the
+// outputs are compared byte for byte (memcmp), NaN payloads included.
+
+/// The covariance loop as it stood before the lane kernel.
+void oracle_covariance_core(const CMat& samples, std::size_t col_begin,
+                            std::size_t col_end, CMat& r) {
+  SA_EXPECTS(samples.rows() >= 1);
+  SA_EXPECTS(col_begin < col_end && col_end <= samples.cols());
+  const std::size_t n = samples.rows();
+  const std::size_t t_len = col_end - col_begin;
+  const std::size_t stride = samples.cols();
+  const cd* data = samples.raw();
+  r.resize(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const cd* si = data + i * stride;
+    for (std::size_t j = i; j < n; ++j) {
+      const cd* sj = data + j * stride;
+      cd acc{0.0, 0.0};
+      for (std::size_t t = col_begin; t < col_end; ++t) {
+        acc += si[t] * std::conj(sj[t]);
+      }
+      acc /= static_cast<double>(t_len);
+      r(i, j) = acc;
+      r(j, i) = std::conj(acc);
+    }
+  }
+}
+
+/// SteeringManifold::quadratic_form as it stood before the grid scan,
+/// over a steering vector `a` (the per-point AoS row).
+double oracle_quadratic_form(const cd* a, const CMat& m) {
+  const std::size_t n = m.rows();
+  const cd* p = m.raw();
+  cd acc{0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    cd s{0.0, 0.0};
+    for (std::size_t j = 0; j < n; ++j) s += p[i * n + j] * a[j];
+    acc += std::conj(a[i]) * s;
+  }
+  return acc.real();
+}
+
+/// jacobi_eigh_real as it stood before the transposed-V layout.
+RealEigResult oracle_jacobi_eigh_real(const std::vector<double>& m,
+                                      std::size_t n, int max_sweeps = 64,
+                                      double tol = 1e-13) {
+  SA_EXPECTS(m.size() == n * n);
+  std::vector<double> a = m;
+  std::vector<double> v(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) v[i * n + i] = 1.0;
+
+  auto A = [&](std::size_t r, std::size_t c) -> double& { return a[r * n + c]; };
+  auto V = [&](std::size_t r, std::size_t c) -> double& { return v[r * n + c]; };
+
+  double fro = 0.0;
+  for (double x : a) fro += x * x;
+  const double thresh = tol * (1.0 + std::sqrt(fro));
+
+  bool converged = (n <= 1);
+  for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
+    double off = 0.0;
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        off = std::max(off, std::abs(A(p, q)));
+      }
+    }
+    if (off <= thresh) {
+      converged = true;
+      break;
+    }
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        const double apq = A(p, q);
+        if (std::abs(apq) <= thresh * 1e-3) continue;
+        const double app = A(p, p);
+        const double aqq = A(q, q);
+        const double tau = (aqq - app) / (2.0 * apq);
+        const double t = (tau >= 0.0)
+                             ? 1.0 / (tau + std::sqrt(1.0 + tau * tau))
+                             : 1.0 / (tau - std::sqrt(1.0 + tau * tau));
+        const double c = 1.0 / std::sqrt(1.0 + t * t);
+        const double s = t * c;
+        for (std::size_t k = 0; k < n; ++k) {
+          const double akp = A(k, p);
+          const double akq = A(k, q);
+          A(k, p) = c * akp - s * akq;
+          A(k, q) = s * akp + c * akq;
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          const double apk = A(p, k);
+          const double aqk = A(q, k);
+          A(p, k) = c * apk - s * aqk;
+          A(q, k) = s * apk + c * aqk;
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          const double vkp = V(k, p);
+          const double vkq = V(k, q);
+          V(k, p) = c * vkp - s * vkq;
+          V(k, q) = s * vkp + c * vkq;
+        }
+      }
+    }
+  }
+  if (!converged) {
+    double off = 0.0;
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        off = std::max(off, std::abs(A(p, q)));
+      }
+    }
+    if (off > thresh * 100.0) {
+      throw NumericalError("jacobi_eigh_real: did not converge");
+    }
+  }
+
+  RealEigResult res;
+  res.n = n;
+  res.values.resize(n);
+  for (std::size_t i = 0; i < n; ++i) res.values[i] = A(i, i);
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return res.values[x] < res.values[y];
+  });
+  std::vector<double> sorted_vals(n);
+  std::vector<double> sorted_vecs(n * n);
+  for (std::size_t k = 0; k < n; ++k) {
+    sorted_vals[k] = res.values[order[k]];
+    for (std::size_t r = 0; r < n; ++r) {
+      sorted_vecs[k * n + r] = V(r, order[k]);
+    }
+  }
+  res.values = std::move(sorted_vals);
+  res.vectors = std::move(sorted_vecs);
+  return res;
+}
+
+template <class T>
+bool same_bytes(const T* a, const T* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+/// The first differing double, with its bits, for failure messages.
+template <class T>
+std::string first_difference(const T* a, const T* b, std::size_t n) {
+  const auto* da = reinterpret_cast<const double*>(a);
+  const auto* db = reinterpret_cast<const double*>(b);
+  for (std::size_t k = 0; k < n * sizeof(T) / sizeof(double); ++k) {
+    const auto ua = std::bit_cast<std::uint64_t>(da[k]);
+    const auto ub = std::bit_cast<std::uint64_t>(db[k]);
+    if (ua != ub) {
+      std::ostringstream out;
+      out << "double " << k << ": " << da[k] << " (0x" << std::hex << ua
+          << ") vs " << db[k] << " (0x" << ub << ")";
+      return out.str();
+    }
+  }
+  return "none";
+}
+
+const double kPosInf = std::numeric_limits<double>::infinity();
+const double kQuietNaN = std::numeric_limits<double>::quiet_NaN();
+const double kSubnormal = std::numeric_limits<double>::denorm_min();
+
+/// M x T samples, complex Gaussian, with the special values `specials`
+/// scattered over (antenna, sample, re/im) positions drawn from `rng`.
+CMat samples_with(std::size_t m, std::size_t t,
+                  const std::vector<double>& specials, Rng& rng) {
+  CMat x(m, t);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = 0; k < t; ++k) x(i, k) = rng.complex_normal(1.0);
+  }
+  for (double v : specials) {
+    const std::size_t i = rng.uniform_int(0, static_cast<int>(m) - 1);
+    const std::size_t k = rng.uniform_int(0, static_cast<int>(t) - 1);
+    cd& z = x(i, k);
+    z = rng.uniform() < 0.5 ? cd{v, z.imag()} : cd{z.real(), v};
+  }
+  return x;
+}
+
+TEST(LaneKernels, CovarianceBitIdenticalToComplexChain) {
+  Rng rng(2401);
+  const std::vector<std::vector<double>> special_sets = {
+      {},
+      {0.0, -0.0, -0.0, 0.0, -0.0},
+      {kSubnormal, -kSubnormal, 2.2e-310, -4.4e-320, 1e-300},
+      {5.0e133, -2.8e186},                // finite, products overflow
+      {kPosInf},
+      {-kPosInf, 1.0},
+      {kQuietNaN},
+      {-kQuietNaN, kPosInf, 2.6e196},
+  };
+  for (std::size_t m : {1, 2, 3, 4, 5, 7, 8}) {
+    // Spans that are not a multiple of any t-block, plus one sample.
+    for (auto [t0, t1] : std::vector<std::pair<std::size_t, std::size_t>>{
+             {0, 1}, {3, 20}, {1, 1000}, {0, 1471}}) {
+      for (std::size_t s = 0; s < special_sets.size(); ++s) {
+        SCOPED_TRACE(testing::Message() << "M=" << m << " span [" << t0 << ", "
+                                        << t1 << ") specials #" << s);
+        const CMat x = samples_with(m, 1500, special_sets[s], rng);
+        CMat expected;
+        oracle_covariance_core(x, t0, t1, expected);
+        const CMat got = sample_covariance_cols(x, t0, t1);
+        ASSERT_EQ(got.rows(), m);
+        EXPECT_TRUE(same_bytes(got.raw(), expected.raw(), m * m))
+            << first_difference(got.raw(), expected.raw(), m * m);
+        if (t0 == 0 && t1 == x.cols()) {
+          CMat scratch(3, 3);
+          sample_covariance_into(x, scratch);
+          EXPECT_TRUE(same_bytes(scratch.raw(), expected.raw(), m * m));
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneKernels, CovarianceSumsStartFromPositiveZero) {
+  // Every term of entry (0, 1) is -0.0 + -0.0: the old chain's first
+  // step 0.0 + (-0.0) gives +0.0, and so must the lanes.
+  CMat x(3, 5);
+  for (std::size_t t = 0; t < x.cols(); ++t) {
+    x(0, t) = cd{-0.0, -0.0};
+    x(1, t) = cd{1.0, 1.0};
+    x(2, t) = cd{-0.0, 0.0};
+  }
+  for (std::size_t t1 : {1, 2, 5}) {
+    CMat expected;
+    oracle_covariance_core(x, 0, t1, expected);
+    const CMat got = sample_covariance_cols(x, 0, t1);
+    EXPECT_FALSE(std::signbit(got(0, 1).real()));
+    EXPECT_TRUE(same_bytes(got.raw(), expected.raw(), 9))
+        << first_difference(got.raw(), expected.raw(), 9);
+  }
+}
+
+TEST(LaneKernels, GridScanBitIdenticalToPerPointForm) {
+  Rng rng(2402);
+  const double lambda = kSpeedOfLight / 2.4e9;
+  const ArrayGeometry geoms[] = {
+      ArrayGeometry::uniform_linear(4, lambda / 2.0),
+      ArrayGeometry::uniform_linear(7, lambda / 2.0),
+      ArrayGeometry::uniform_circular(5, 0.05),
+      ArrayGeometry::octagon(),
+  };
+  for (const ArrayGeometry& geom : geoms) {
+    const std::size_t n = geom.size();
+    // A Hermitian matrix with realistic structure, then copies laced
+    // with signed zeros, subnormals, overflow-size entries, Inf and NaN.
+    const CMat r = random_covariance(geom, lambda, rng);
+    std::vector<CMat> mats = {r, CMat(n, n)};
+    const std::vector<cd> specials = {
+        {-0.0, 0.0},  {kSubnormal, -kSubnormal}, {1e300, -1e300},
+        {kPosInf, 0.0}, {0.0, -kPosInf},          {kQuietNaN, 1.0},
+        {-kQuietNaN, kQuietNaN}};
+    for (const cd& v : specials) {
+      CMat m = r;
+      m(n - 1, 0) = v;
+      m(0, n / 2) = std::conj(v);
+      mats.push_back(m);
+    }
+    for (double step : {1.0, 0.7}) {
+      // 0.7 degree grids (258 and 515 points) end mid scan block.
+      const SteeringManifold manifold(geom, lambda, step);
+      for (std::size_t k = 0; k < mats.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " step " << step
+                                        << " matrix #" << k);
+        std::vector<double> expected(manifold.size());
+        for (std::size_t g = 0; g < manifold.size(); ++g) {
+          const CVec a = geom.steering_vector(manifold.grid()[g], lambda);
+          expected[g] = oracle_quadratic_form(a.data(), mats[k]);
+        }
+        std::vector<double> got(manifold.size());
+        manifold.quadratic_forms(mats[k], got.data());
+        EXPECT_TRUE(same_bytes(got.data(), expected.data(), got.size()))
+            << first_difference(got.data(), expected.data(), got.size());
+      }
+    }
+  }
+}
+
+/// Row-major 2n x 2n real embedding [[B, -C], [C, B]] of A = B + iC.
+std::vector<double> real_embedding(const CMat& a) {
+  const std::size_t n = a.rows();
+  const std::size_t n2 = 2 * n;
+  std::vector<double> m(n2 * n2);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      m[i * n2 + j] = a(i, j).real();
+      m[i * n2 + j + n] = -a(i, j).imag();
+      m[(i + n) * n2 + j] = a(i, j).imag();
+      m[(i + n) * n2 + j + n] = a(i, j).real();
+    }
+  }
+  return m;
+}
+
+void expect_same_eig(const std::vector<double>& m, std::size_t n,
+                     int max_sweeps = 64) {
+  std::optional<RealEigResult> expected;
+  std::optional<RealEigResult> got;
+  try {
+    expected = oracle_jacobi_eigh_real(m, n, max_sweeps);
+  } catch (const NumericalError&) {
+  }
+  try {
+    got = jacobi_eigh_real(m, n, max_sweeps);
+  } catch (const NumericalError&) {
+  }
+  ASSERT_EQ(got.has_value(), expected.has_value());
+  if (!got) return;
+  EXPECT_EQ(got->n, n);
+  ASSERT_EQ(got->values.size(), n);
+  ASSERT_EQ(got->vectors.size(), n * n);
+  EXPECT_TRUE(same_bytes(got->values.data(), expected->values.data(), n))
+      << first_difference(got->values.data(), expected->values.data(), n);
+  EXPECT_TRUE(same_bytes(got->vectors.data(), expected->vectors.data(), n * n))
+      << first_difference(got->vectors.data(), expected->vectors.data(),
+                          n * n);
+}
+
+TEST(LaneKernels, JacobiBitIdenticalToRowMajorV) {
+  Rng rng(2403);
+  // Random symmetric, n = 2..16 (stack storage) and past it (heap).
+  for (std::size_t n : {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                        17, 24}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    std::vector<double> m(n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i; j < n; ++j) {
+        m[i * n + j] = m[j * n + i] = rng.normal(0.0, 1.0);
+      }
+    }
+    expect_same_eig(m, n);
+    expect_same_eig(m, n, /*max_sweeps=*/1);  // the non-convergence path
+    // Already diagonal, with a repeated eigenvalue.
+    std::vector<double> d(n * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) d[i * n + i] = (i % 3 == 0) ? 2.0 : -0.5 * i;
+    expect_same_eig(d, n);
+    // Repeated eigenvalues off the diagonal: Q diag(1, 1, ..., 3, 3) Q^T
+    // via one Givens rotation mixing every adjacent pair.
+    std::vector<double> rep = d;
+    for (std::size_t i = 0; i < n; ++i) rep[i * n + i] = i < n / 2 ? 1.0 : 3.0;
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      rep[i * n + i + 1] = rep[(i + 1) * n + i] = 1e-3 * static_cast<double>(i);
+    }
+    expect_same_eig(rep, n);
+  }
+  // The 2M x 2M embeddings of sample covariances (every eigenvalue
+  // doubled), M = 1..8.
+  for (std::size_t m = 1; m <= 8; ++m) {
+    SCOPED_TRACE(testing::Message() << "embedding M=" << m);
+    const CMat x = samples_with(m, 300, {}, rng);
+    expect_same_eig(real_embedding(sample_covariance(x)), 2 * m);
+  }
+  const double half = kSpeedOfLight / 2.4e9 / 2.0;
+  const ArrayGeometry octagon = ArrayGeometry::octagon();
+  const CMat r = random_covariance(octagon, 2.0 * half, rng);
+  expect_same_eig(real_embedding(r), 16);
+  expect_same_eig(real_embedding(forward_backward_average(
+                      random_covariance(ArrayGeometry::uniform_linear(8, half),
+                                        2.0 * half, rng))),
+                  16);
+}
+
+TEST(LaneKernels, HermitianCheckMatchesMaterializedDifference) {
+  Rng rng(2404);
+  for (std::size_t n : {1, 2, 5, 8}) {
+    const CMat x = samples_with(n, 64, {}, rng);
+    const CMat r = sample_covariance(x);
+    for (double eps : {0.0, 1e-12, 1e-9, 1e-8, 3e-8, 1e-6}) {
+      CMat a = r;
+      if (n > 1) a(0, n - 1) += cd{eps, -eps};
+      for (double tol : {1e-10, 1e-8}) {
+        const bool expected =
+            (a - a.hermitian()).frobenius_norm() <= tol * (1.0 + a.frobenius_norm());
+        EXPECT_EQ(a.is_hermitian(tol), expected)
+            << "n=" << n << " eps=" << eps << " tol=" << tol;
+      }
+    }
+  }
+}
+
+TEST(LaneKernels, IqRangeCheckIsOneComparisonPerPart) {
+  const double bound = 1e64;
+  const double values[] = {0.0,       -0.0,          2.55,
+                           -bound,    bound,         std::nextafter(bound, 1e300),
+                           -1e200,    kPosInf,       -kPosInf,
+                           kQuietNaN, -kQuietNaN,    kSubnormal};
+  for (double v : values) {
+    for (std::size_t at = 0; at < 6; ++at) {
+      CVec x(3, cd{0.5, -0.25});
+      x[at / 2] = at % 2 == 0 ? cd{v, 0.0} : cd{0.0, v};
+      EXPECT_EQ(lanes::parts_within(x.data(), x.size(), bound),
+                std::fabs(v) <= bound)
+          << "value " << v << " at part " << at;
+    }
+  }
+  EXPECT_TRUE(lanes::parts_within(nullptr, 0, bound));
+}
+
+// The bit-identity above needs every a*b + c to round twice. If a build
+// ever fuses them (FMA: -march=native, -mfma, -ffast-math or an FMA
+// target attribute), a = 1 + 2^-30, b = 1 - 2^-30 gives a*b + c =
+// -2^-60 instead of 0 — and every corpus replay and perfbench digest
+// moves with it.
+TEST(LaneKernels, BuildDoesNotContractMultiplyAdd) {
+  volatile double a = 1.0 + 0x1p-30;
+  volatile double b = 1.0 - 0x1p-30;
+  volatile double c = -1.0;
+  const double fused_or_not = a * b + c;
+  EXPECT_EQ(fused_or_not, 0.0)
+      << "a*b + c was contracted into an FMA (result " << fused_or_not
+      << "): the build must enable no FMA (-march, -mfma, -ffast-math, "
+         "target attributes) — see the note beside add_compile_options in "
+         "CMakeLists.txt";
 }
 
 }  // namespace

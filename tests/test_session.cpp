@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -552,6 +553,32 @@ TEST(Session, RejectsNonFiniteIqAtSubmit) {
   for (const auto& round : rig.rounds) session.submit_round(round);
   session.drain();
   session.close();
+}
+
+// Finite IQ can overflow too: a 1e200 component squares past DBL_MAX in
+// the detector's |P|^2 and the EVD's Frobenius sum, and used to kill the
+// session on eig()'s Hermitian precondition or the Capon inverse.
+// submit() refuses any component beyond kMaxIqMagnitude, and the session
+// still decides every later round exactly as a clean one does.
+TEST(Session, RejectsOverflowSizeIqAtSubmit) {
+  SessionRig rig(11);
+  std::vector<EngineDecision> out;
+  EngineSession session(rig.session_config(1), rig.ptrs,
+                        [&](const EngineDecision& d) { out.push_back(d); });
+
+  CMat huge_re = rig.rounds[0][0];
+  huge_re(0, huge_re.cols() / 2) = cd(1e200, 0.0);
+  EXPECT_THROW(session.submit(0, huge_re), InvalidArgument);
+  CMat huge_im = rig.rounds[0][1];
+  huge_im(huge_im.rows() - 1, 0) = cd(0.5, -1e200);
+  EXPECT_THROW(session.submit(1, huge_im), InvalidArgument);
+  CMat over_bound = rig.rounds[0][0];
+  over_bound(0, 0) = cd(0.0, std::nextafter(kMaxIqMagnitude, 1e300));
+  EXPECT_THROW(session.submit(0, over_bound), InvalidArgument);
+
+  rig.feed(session, /*lockstep=*/false);
+  session.close();
+  expect_identical_streams(out, rig.run_serial_reference());
 }
 
 }  // namespace

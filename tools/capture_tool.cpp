@@ -16,7 +16,8 @@
 //   capture_tool diff     A B
 //   capture_tool truncate IN OUT BYTES     # keep the first BYTES bytes
 //   capture_tool mutate   IN OUT SEED [OPS]
-//   capture_tool mutate-nan IN OUT         # poison the first IQ sample
+//   capture_tool mutate-nan IN OUT [VALUE] # poison the first IQ sample
+//                         # (VALUE defaults to a quiet NaN)
 //   capture_tool replay   FILE [--threads N] [--expect-reject]
 //                         # rebuild the fleet from the header (a version-1
 //                         # capture is one site), re-drive chunks,
@@ -55,9 +56,11 @@
 //                         # D concurrent threads (distinct MACs).
 // Exit status: 0 = success / equal / all replays clean; 1 = mismatch or
 // invalid input; 2 = usage.
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -83,7 +86,7 @@ namespace {
                "       capture_tool diff     A B\n"
                "       capture_tool truncate IN OUT BYTES\n"
                "       capture_tool mutate   IN OUT SEED [OPS]\n"
-               "       capture_tool mutate-nan IN OUT\n"
+               "       capture_tool mutate-nan IN OUT [VALUE]\n"
                "       capture_tool replay   FILE [--threads N] [--expect-reject]\n"
                "       capture_tool fuzz     FILE [--seed S] [--count N]\n"
                "                                  [--ops K] [--no-replay]\n"
@@ -270,12 +273,14 @@ int cmd_mutate(const std::string& in, const std::string& out,
   return 0;
 }
 
-/// Poison the first IQ sample of the first chunk record with a quiet
-/// NaN, leaving the rest of the capture untouched. SACP carries no
-/// checksums, so the result still parses and validates — only the
-/// engine's submit()-time finiteness gate can catch it. This is the
-/// reproducible recipe behind corpus/rejects/nan_iq.sacp.
-int cmd_mutate_nan(const std::string& in, const std::string& out) {
+/// Poison the real part of the first IQ sample of the first chunk
+/// record with `value` (a quiet NaN unless given), leaving the rest of
+/// the capture untouched. SACP carries no checksums, so the result still
+/// parses and validates — only the engine's submit()-time range gate
+/// can catch it. This is the reproducible recipe behind
+/// corpus/rejects/nan_iq.sacp and corpus/rejects/huge_iq.sacp.
+int cmd_mutate_nan(const std::string& in, const std::string& out,
+                   double value) {
   ByteStream data = read_file_or_die(in);
   auto u32_at = [&](std::size_t off) -> std::optional<std::uint32_t> {
     if (off + 4 > data.size()) return std::nullopt;
@@ -302,13 +307,13 @@ int cmd_mutate_nan(const std::string& in, const std::string& out) {
     if (payload + len > data.size()) break;
     if (type == static_cast<std::uint32_t>(RecordType::kChunk) &&
         len >= 28 + sizeof(double)) {
-      const std::uint64_t qnan = 0x7ff8000000000000ull;
+      const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
       for (std::size_t i = 0; i < 8; ++i) {
-        data[payload + 28 + i] = static_cast<std::uint8_t>(qnan >> (8 * i));
+        data[payload + 28 + i] = static_cast<std::uint8_t>(bits >> (8 * i));
       }
       write_file_or_die(out, data);
-      std::printf("%s: first IQ sample -> NaN at byte %zu -> %s\n", in.c_str(),
-                  payload + 28, out.c_str());
+      std::printf("%s: first IQ sample -> %g at byte %zu -> %s\n", in.c_str(),
+                  value, payload + 28, out.c_str());
       return 0;
     }
     off = payload + len;
@@ -842,8 +847,14 @@ int main(int argc, char** argv) {
         args.size() == 4 ? std::strtoull(args[3].c_str(), nullptr, 10) : 8;
     return cmd_mutate(args[0], args[1], seed, ops);
   }
-  if (cmd == "mutate-nan" && args.size() == 2) {
-    return cmd_mutate_nan(args[0], args[1]);
+  if (cmd == "mutate-nan" && (args.size() == 2 || args.size() == 3)) {
+    double value = std::numeric_limits<double>::quiet_NaN();
+    if (args.size() == 3) {
+      char* end = nullptr;
+      value = std::strtod(args[2].c_str(), &end);
+      if (end == args[2].c_str() || *end != '\0') usage();
+    }
+    return cmd_mutate_nan(args[0], args[1], value);
   }
   if (cmd == "replay" && !args.empty()) {
     std::string path;

@@ -95,6 +95,25 @@ namespace {
   print_usage(stderr, argv0, 2);
 }
 
+// With --capture this driver records the streams it owns: each round's
+// chunks just before it submits them, and a drain marker just before it
+// drains. Its decision sink records each decision first thing. (In fleet
+// mode the FleetCoordinator records all three itself.)
+void submit_recorded(EngineSession& session, CaptureWriter* writer,
+                     std::vector<CMat> chunks) {
+  if (writer != nullptr) {
+    for (std::size_t ap = 0; ap < chunks.size(); ++ap) {
+      writer->record_chunk(ap, chunks[ap]);
+    }
+  }
+  session.submit_round(std::move(chunks));
+}
+
+void drain_recorded(EngineSession& session, CaptureWriter* writer) {
+  if (writer != nullptr) writer->record_drain();
+  session.drain();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -385,8 +404,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(fs.duplicates_suppressed));
     }
     if (writer) {
-      // Recording protocol: the capture ends quiescent (drain_all above),
-      // so close the writer before the sessions.
       writer->close();
       std::printf("\ncapture: %s (%llu chunks, %llu decisions, %llu assocs, "
                   "%llu drains)\n",
@@ -424,8 +441,8 @@ int main(int argc, char** argv) {
       CaptureHeader header = capture_header_for(spec);
       header.metadata.emplace_back("sa.scenario", gen.describe());
       writer.emplace(capture_path, std::move(header));
-      ecfg.capture = &*writer;
     }
+    CaptureWriter* const recorder = writer ? &*writer : nullptr;
 
     SessionConfig scfg;
     scfg.engine = ecfg;
@@ -433,6 +450,9 @@ int main(int argc, char** argv) {
     // reads mid-run on this one.
     std::atomic<std::size_t> accepted{0}, dropped{0};
     EngineSession session(scfg, dep.ap_ptrs, [&](const EngineDecision& d) {
+      if (recorder != nullptr) {
+        recorder->record_decision(d.sequence, d.absolute_start, d.decision);
+      }
       (d.decision.accepted ? accepted : dropped)
           .fetch_add(1, std::memory_order_relaxed);
     });
@@ -470,12 +490,13 @@ int main(int argc, char** argv) {
       const Frame f = Frame::data(MacAddress::from_index(0xFF), ev->mac,
                                   Bytes{1, 2, 3}, sseq++);
       const CVec w = PacketTransmitter(PhyRate::k6Mbps).transmit(f.serialize());
-      session.submit_round(
+      submit_recorded(
+          session, recorder,
           sim.transmit(ev->from, w, ev->pattern ? &*ev->pattern : nullptr));
       ++sent;
       ++interval_sent;
     }
-    session.drain();
+    drain_recorded(session, recorder);
     // The horizon rarely lands on an interval boundary: always flush the
     // final, partial interval so its frames are reported too.
     report_span(interval_start, duration_s, true);
@@ -512,8 +533,6 @@ int main(int argc, char** argv) {
         ss.worker_jobs, ss.worker_bursts, ss.max_worker_burst,
         ss.submit_ring_full_blocks, ss.spin_polls, ss.parks);
     if (writer) {
-      // Recording protocol: close the writer after the drain and before
-      // the session, so the capture ends quiescent.
       writer->close();
       std::printf("\ncapture: %s (%llu chunks, %llu decisions, %llu drains)\n",
                   writer->path().c_str(),
@@ -530,13 +549,16 @@ int main(int argc, char** argv) {
     CaptureHeader header = capture_header_for(spec);
     header.metadata.emplace_back("sa.scenario", "batch-three-phase");
     writer.emplace(capture_path, std::move(header));
-    ecfg.capture = &*writer;
   }
+  CaptureWriter* const recorder = writer ? &*writer : nullptr;
 
   SessionConfig scfg;
   scfg.engine = ecfg;
   std::vector<EngineDecision> decided;
   EngineSession session(scfg, dep.ap_ptrs, [&](const EngineDecision& d) {
+    if (recorder != nullptr) {
+      recorder->record_decision(d.sequence, d.absolute_start, d.decision);
+    }
     decided.push_back(d);
   });
 
@@ -556,14 +578,14 @@ int main(int argc, char** argv) {
     const Frame f =
         Frame::data(MacAddress::from_index(0xFF), mac, Bytes{1, 2, 3}, seq++);
     const CVec w = PacketTransmitter(PhyRate::k6Mbps).transmit(f.serialize());
-    session.submit_round(sim.transmit(from, w, pat));
+    submit_recorded(session, recorder, sim.transmit(from, w, pat));
     session.wait_idle();
     sim.advance(0.25);
   };
   // A phase ends with a drain; its decisions are everything the sink
   // appended since the previous phase ended.
   auto end_phase = [&] {
-    session.drain();
+    drain_recorded(session, recorder);
     return std::exchange(decided, {});
   };
 

@@ -1,24 +1,31 @@
-// CaptureWriter: the recording tap. Producers (submit threads, the
-// session's control thread, a serial Coordinator) serialize records into
-// an in-memory buffer under a short lock; a background flusher thread swaps
-// the buffer out and writes it to disk — so the dataplane never blocks
-// on file I/O (ndn-dpdk pdump's writer-thread split).
+// CaptureWriter: writes one SACP capture. The engine never records;
+// each stream's owner does. A driver records each chunk just before it
+// submits it and each drain marker just before drain(), and its decision
+// sink records each decision first thing. A FleetCoordinator does all
+// three for its sites.
 //
-// Record order in the file is the order producers enqueued them, which
-// is a legal serialization of the run: a chunk record always precedes
-// any decision it contributed to, and a drain marker recorded from
-// drain() follows every chunk the drain covers (caller-ordered).
+// Each record is written synchronously under the writer's mutex, a leaf
+// lock: nothing else is called while it is held. File order is the order
+// of the record calls, so a run that records chunks and decisions from
+// different threads interleaves them differently from run to run
+// (`capture_tool diff` compares tracks, not file order).
 //
-// close() appends the kEnd totals record and flushes; the destructor
-// closes. A writer is bound to one file for its lifetime.
+// The writer numbers each AP's chunks itself: a chunk's round counts that
+// AP's earlier chunks and its base sums their columns. Two rules follow:
+//  - Chunk order: a recorder must submit each AP's chunks from one
+//    thread, in the order it records them.
+//  - Refused chunks: a chunk is recorded before it is submitted, so one
+//    the engine refuses (NaN, Inf, above kMaxIqMagnitude, wrong shape)
+//    is in the capture, and replay refuses it at the same record.
+//
+// close() appends the kEnd totals record and closes the file; the
+// destructor closes. A writer is bound to one file for its lifetime.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
+#include <cstdio>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sa/capture/format.hpp"
@@ -35,10 +42,10 @@ class CaptureWriter {
   CaptureWriter(const CaptureWriter&) = delete;
   CaptureWriter& operator=(const CaptureWriter&) = delete;
 
-  /// Record the `round`-th chunk of `ap`'s stream, whose first column is
-  /// absolute sample `base`. Thread-safe.
-  void record_chunk(std::size_t ap, std::uint64_t round, std::uint64_t base,
-                    const CMat& samples);
+  /// Record the next chunk of `ap`'s stream (a fleet-global AP id in a
+  /// fleet capture). Throws InvalidArgument when `ap` is not below the
+  /// header's num_aps. Thread-safe.
+  void record_chunk(std::size_t ap, const CMat& samples);
   /// Record one emitted decision in sequence order. Thread-safe.
   void record_decision(std::uint64_t sequence, std::uint64_t absolute_start,
                        const FrameDecision& decision);
@@ -56,15 +63,10 @@ class CaptureWriter {
   /// Record a drain() boundary. Thread-safe.
   void record_drain();
 
-  /// Block until everything recorded so far is on disk.
-  void flush();
   /// Write the kEnd totals record and close the file. Idempotent;
-  /// recording after close() throws StateError.
+  /// recording after close() throws StateError. Throws sa::Error when
+  /// any write to the file failed.
   void close();
-
-  /// Whether close() has run; the engine's tap checks this so a
-  /// session closed after its writer does not throw StateError from
-  /// the internal drain.
   bool closed() const;
 
   std::uint64_t chunks_recorded() const;
@@ -74,8 +76,16 @@ class CaptureWriter {
   const std::string& path() const { return path_; }
 
  private:
-  void enqueue(RecordType type, const ByteStream& payload);
-  void flusher_loop();
+  /// Frame and write one record; call with mu_ held.
+  void write(RecordType type, const ByteStream& payload);
+  /// Lock, write and tally one record other than a chunk.
+  void record(RecordType type, const ByteStream& payload);
+
+  /// One AP's chunk numbering: chunks recorded and their total columns.
+  struct ApTrack {
+    std::uint64_t chunks = 0;
+    std::uint64_t columns = 0;
+  };
 
   std::string path_;
   std::FILE* file_ = nullptr;
@@ -83,20 +93,13 @@ class CaptureWriter {
   std::uint32_t version_ = kSacpVersion;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // producers -> flusher
-  std::condition_variable drained_cv_;  // flusher -> flush()/close()
-  ByteStream pending_;
-  bool stop_ = false;
   bool closed_ = false;
   bool write_failed_ = false;
-  std::uint64_t generation_ = 0;   // bumped per enqueue
-  std::uint64_t flushed_gen_ = 0;  // last generation fully written
+  std::vector<ApTrack> tracks_;  ///< one per header AP
   std::uint64_t chunks_ = 0;
   std::uint64_t decisions_ = 0;
   std::uint64_t drains_ = 0;
   std::uint64_t assocs_ = 0;
-
-  std::thread flusher_;
 };
 
 }  // namespace sa

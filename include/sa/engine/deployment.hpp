@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "sa/engine/sharded_spoof.hpp"
@@ -34,8 +33,6 @@
 #include "sa/secure/streaming.hpp"
 
 namespace sa {
-
-class CaptureWriter;
 
 struct EngineConfig {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
@@ -48,24 +45,6 @@ struct EngineConfig {
   std::size_t group_slack_samples = 1600;
   StreamingConfig streaming;
   CoordinatorConfig coordinator;
-  /// Optional recording tap (sa/capture/writer.hpp), borrowed. When set,
-  /// the session records every submitted chunk, every emitted decision
-  /// and every drain() boundary into a SACP capture. Recording protocol:
-  /// drain the session, then close the writer, then close the session —
-  /// the tap skips a writer that is already closed, so close()'s
-  /// internal drain never throws through it.
-  CaptureWriter* capture = nullptr;
-  /// Fleet tagging for the recording tap. A FleetCoordinator shares one
-  /// writer across per-site sessions: chunk records carry
-  /// `capture_ap_base + local AP index` (the fleet-global AP id), and
-  /// when `capture_site` is set decisions are recorded as site-tagged
-  /// kSiteDecision records instead of plain decisions. With
-  /// `capture_drains` false the session suppresses its own drain
-  /// markers, so the fleet can record one global boundary per
-  /// drain_all() instead of one per site.
-  std::uint32_t capture_ap_base = 0;
-  std::optional<std::uint32_t> capture_site;
-  bool capture_drains = true;
 };
 
 /// One cross-AP view of one frame, ready for the coordinator.

@@ -269,10 +269,6 @@ class EngineSession {
     explicit SubmitLane(std::size_t capacity) : ring(capacity) {}
     SpscRing<CMat> ring;
     std::mutex producer_mu;
-    /// Recording tap bookkeeping, guarded by producer_mu: this AP's next
-    /// chunk is its `rounds`-th, starting at absolute sample `base`.
-    std::uint64_t rounds = 0;
-    std::uint64_t base = 0;
   };
 
   /// Internal atomic mirror of SessionStats.
@@ -298,7 +294,7 @@ class EngineSession {
   void worker_loop(std::size_t w);
   void process_ap_job(Worker& wk, ApJob job);
   /// Run the spoof observation and the policy chain on one grouped
-  /// frame, then record and emit the decision (control thread).
+  /// frame, then hand the decision to the sink (control thread).
   void decide(std::size_t sequence, const FrameGroup& group);
   void fail(std::exception_ptr error);
   void throw_if_failed() const;

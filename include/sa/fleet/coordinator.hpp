@@ -7,7 +7,7 @@
 //     ├─ site 1: EngineSession ── APs [m, 2m)
 //     ├─ ...
 //     ├─ home map: MAC -> (home site, handoff generation)  [FlatLruMap]
-//     └─ transport stack: ReliableLink → [FaultyTransport →] Loopback
+//     └─ transport stack: ReliableLink → FaultyTransport
 //
 // Chunks are routed to the owning site (submit by (site, local AP) or
 // fleet-global AP id). When a client's traffic migrates sites —
@@ -24,7 +24,7 @@
 // (sa/fleet/transport.hpp) as a sequence-numbered, checksummed
 // kTransportData frame, acked by the receive side and retried on an
 // exponential-backoff schedule. With the default zero-fault plan the
-// stack is a LoopbackTransport and behavior is byte-identical to the
+// channel delivers inside send() and behavior is byte-identical to the
 // in-process handoff; with a FaultPlan the channel drops, duplicates,
 // reorders, delays, and corrupts datagrams deterministically.
 //
@@ -58,13 +58,16 @@
 // is still the driver's race to avoid: the hooks need the session to
 // stay idle.
 //
-// Capture: with a CaptureWriter, the fleet records one SACP file —
-// chunk records carry fleet-global AP ids, decisions are site-tagged
-// (kSiteDecision), handoffs are kAssoc records, and drain_all() records
-// a single fleet-wide drain boundary. Under an active fault plan the
-// capture is version 3 and every migration additionally records a
-// kTransport verdict (delivered/cold-start + attempts), which
-// replay_fleet_capture re-checks — a lossy run replays byte-for-byte.
+// Capture: with a CaptureWriter, the fleet records one SACP file, and it
+// records every stream it owns itself; the sessions know nothing of it.
+// submit() records each chunk under its fleet-global AP id just before
+// handing it to the site's session, each site's decision sink records a
+// site-tagged kSiteDecision, handoffs are kAssoc records, and
+// drain_all() records a single fleet-wide drain boundary. Under an
+// active fault plan the capture is version 3 and every migration
+// additionally records a kTransport verdict (delivered/cold-start +
+// attempts), which replay_fleet_capture re-checks — a lossy run replays
+// byte-for-byte.
 #pragma once
 
 #include <cstdint>
@@ -113,8 +116,11 @@ struct FleetConfig {
   /// Build each site's uplink channel simulation (scenario drivers need
   /// it; replay does not).
   bool with_sim = false;
-  /// Optional shared recording tap (one capture for the whole fleet),
-  /// borrowed.
+  /// Optional recorder (one capture for the whole fleet), borrowed. A
+  /// chunk is recorded before it is submitted, so the driver must
+  /// submit each AP's chunks from one thread (the writer numbers them in
+  /// recording order), and a chunk the session refuses is in the capture
+  /// too, where replay refuses it at the same record.
   CaptureWriter* capture = nullptr;
   /// Spoof-tracker idle horizon per site. nullopt (default) derives it
   /// from the roaming dwell-time distribution — at the fleet tier idle
@@ -122,8 +128,9 @@ struct FleetConfig {
   /// strands tracker state at sites clients have left. Explicit 0
   /// disables expiry (the single-session-oracle configuration).
   std::optional<std::size_t> spoof_idle_frames;
-  /// Transport fault injection. Inactive (the default) keeps the pure
-  /// LoopbackTransport path — byte-identical to the in-process handoff.
+  /// Transport fault injection. Inactive (the default) keeps delivery a
+  /// direct call inside send() — byte-identical to the in-process
+  /// handoff.
   FaultPlan fault_plan;
   /// ARQ tuning for the reliability layer (virtual-clock ticks).
   ReliableLinkConfig link;
@@ -198,11 +205,12 @@ class FleetCoordinator {
   /// The idle horizon actually applied to every site's spoof detector.
   std::size_t resolved_spoof_idle_frames() const { return idle_frames_; }
 
-  /// Route one chunk to `site`'s dataplane (local AP index).
+  /// Record one chunk (when recording), then route it to `site`'s
+  /// dataplane (local AP index).
   void submit(std::uint32_t site, std::size_t local_ap, CMat chunk);
   /// Same, addressed by fleet-global AP id (site = id / aps_per_site).
   void submit_global(std::uint32_t global_ap, CMat chunk);
-  /// One time-aligned chunk per AP of `site`.
+  /// One time-aligned chunk per AP of `site`, each through submit().
   void submit_round(std::uint32_t site, std::vector<CMat> chunks);
 
   /// A client (re)associated at `dest_site`. First association homes the
@@ -223,8 +231,7 @@ class FleetCoordinator {
   FleetImportOutcome apply_handoff(const ByteStream& wire);
 
   /// Drain every site's dataplane and record ONE fleet-wide drain
-  /// boundary (per-site drain records are suppressed via
-  /// EngineConfig::capture_drains).
+  /// boundary.
   void drain_all();
   /// drain_all(), then stop every site's pipeline threads. Idempotent.
   void close();
@@ -248,7 +255,7 @@ class FleetCoordinator {
   std::optional<std::uint64_t> generation_of(const MacAddress& mac) const;
   /// Snapshot of the counters; waits while a handoff is in progress.
   FleetStats stats() const;
-  /// Channel-side counters; zeros when no fault plan is active.
+  /// Channel-side counters (datagrams sent, delivered and faulted).
   TransportStats transport_stats() const;
 
  private:
@@ -268,6 +275,9 @@ class FleetCoordinator {
   /// The import path shared by apply_handoff and the transport's
   /// receive side; call with mu_ held.
   FleetImportOutcome apply_wire(const ByteStream& wire);
+  /// The writer to record into: nullptr when the fleet does not record
+  /// or the driver has already closed the writer.
+  CaptureWriter* recorder() const;
   void record_assoc(std::uint32_t site, std::uint64_t generation,
                     const MacAddress& mac);
   void record_transport(const MacAddress& mac, std::uint64_t generation,
@@ -289,9 +299,8 @@ class FleetCoordinator {
 
   // Transport stack, bottom-up. The link's receive callback points back
   // into this object, so the stack lives (and dies) with it.
-  LoopbackTransport loopback_;
-  std::unique_ptr<FaultyTransport> faulty_;  ///< only under an active plan
-  std::unique_ptr<ReliableLink> link_;
+  FaultyTransport channel_;
+  ReliableLink link_;
 
   bool closed_ = false;
 };

@@ -35,6 +35,9 @@ struct FleetReplayResult {
   /// The engine refused a recorded chunk at submit (InvalidArgument: a
   /// non-finite sample, a chunk of the wrong shape). `error` says why.
   bool refused = false;
+  /// Every record replayed, but a site's re-emitted decision track
+  /// differs from the recorded one (in length or in bytes).
+  bool diverged = false;
   std::string error;  ///< empty when ok
   std::size_t sites = 0;
   std::uint64_t chunks_submitted = 0;

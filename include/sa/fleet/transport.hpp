@@ -10,12 +10,11 @@
 //   ReliableLink ── seq-numbered kTransportData frames, acks, bounded
 //         │         retry with exponential backoff + jitter
 //         ▼
-//   FleetTransport (interface)
-//     ├─ LoopbackTransport   in-process, in-order, lossless — the
-//     │                      zero-fault channel; byte-identical to PR 9
-//     └─ FaultyTransport     decorator over any inner transport: a
-//                            seeded FaultPlan drops / duplicates /
-//                            reorders / delays / bit-corrupts datagrams
+//   FaultyTransport ── the one channel. Under an inactive plan it
+//                      delivers inside send(): in-process, in-order,
+//                      lossless, byte-identical to the direct handoff.
+//                      Under a seeded FaultPlan it drops / duplicates /
+//                      reorders / delays / bit-corrupts datagrams.
 //
 // Everything is driven by a virtual clock: time only advances when
 // someone calls tick(), so every retry schedule, delay, and timeout is
@@ -75,8 +74,8 @@ struct FaultPlan {
   /// Forced verdicts by datagram index; overrides the seeded draw.
   std::map<std::uint64_t, FaultKind> schedule;
 
-  /// True when any fault can ever fire — an inactive plan means the
-  /// channel behaves exactly like its inner transport.
+  /// True when any fault can ever fire — under an inactive plan the
+  /// channel is perfect and delivers inside send().
   bool active() const;
   /// The (deterministic) verdict for datagram `index`.
   FaultKind verdict(std::uint64_t index) const;
@@ -85,46 +84,10 @@ struct FaultPlan {
   static std::optional<FaultPlan> parse(const std::string& text);
 };
 
-/// A unidirectional best-effort datagram channel with a virtual clock.
-/// send() accepts a datagram; the receiver callback fires during send()
-/// or a later tick(), depending on the implementation. Not thread-safe:
-/// the caller serializes send/tick and the stats readers
-/// (FleetCoordinator holds its control-plane lock around every call into
-/// the transport stack).
-class FleetTransport {
- public:
-  using DeliverFn = std::function<void(const ByteStream&)>;
-
-  virtual ~FleetTransport() = default;
-
-  virtual void set_receiver(DeliverFn fn) = 0;
-  virtual void send(ByteStream datagram) = 0;
-  /// Advance the virtual clock one tick; deliver anything due. Returns
-  /// the number of datagrams delivered this tick.
-  virtual std::size_t tick() = 0;
-  /// Datagrams accepted but not yet delivered or dropped.
-  virtual std::size_t pending() const = 0;
-};
-
-/// The perfect channel: every datagram is delivered synchronously,
-/// in order, unmodified, inside send(). tick() is a no-op.
-class LoopbackTransport final : public FleetTransport {
- public:
-  void set_receiver(DeliverFn fn) override { receiver_ = std::move(fn); }
-  void send(ByteStream datagram) override {
-    if (receiver_) receiver_(datagram);
-  }
-  std::size_t tick() override { return 0; }
-  std::size_t pending() const override { return 0; }
-
- private:
-  DeliverFn receiver_;
-};
-
-/// What a FaultyTransport did to the traffic so far.
+/// What the channel did to the traffic so far.
 struct TransportStats {
   std::uint64_t sent = 0;       ///< datagrams offered to the channel
-  std::uint64_t delivered = 0;  ///< datagrams handed to the inner transport
+  std::uint64_t delivered = 0;  ///< datagrams handed to the receiver
   std::uint64_t dropped = 0;
   std::uint64_t duplicated = 0;
   std::uint64_t reordered = 0;
@@ -132,20 +95,30 @@ struct TransportStats {
   std::uint64_t corrupted = 0;
 };
 
-/// The lossy decorator. Datagrams are queued with a due tick derived
-/// from the plan's verdict (normal: next tick; kReorder: two ticks, so
-/// the following datagram leapfrogs it; kDelay: plan.delay_ticks extra)
-/// and handed to the inner transport as ticks elapse. kDrop discards,
-/// kDuplicate enqueues twice, kCorrupt flips seeded bits first.
-class FaultyTransport final : public FleetTransport {
+/// The fleet's datagram channel: unidirectional, best-effort, with a
+/// virtual clock. Under an inactive plan send() hands each datagram to
+/// the receiver synchronously, in order and unmodified, and tick() has
+/// nothing to deliver. Under an active plan datagrams are queued with a
+/// due tick derived from the plan's verdict (normal: next tick;
+/// kReorder: two ticks, so the following datagram leapfrogs it; kDelay:
+/// plan.delay_ticks extra) and handed to the receiver as ticks elapse.
+/// kDrop discards, kDuplicate enqueues twice, kCorrupt flips seeded bits
+/// first. Not thread-safe: the caller serializes send/tick and the
+/// stats readers (FleetCoordinator holds its control-plane lock around
+/// every call into the channel).
+class FaultyTransport {
  public:
-  /// `inner` is borrowed and must outlive this decorator.
-  FaultyTransport(FleetTransport& inner, FaultPlan plan);
+  using DeliverFn = std::function<void(const ByteStream&)>;
 
-  void set_receiver(DeliverFn fn) override { inner_.set_receiver(std::move(fn)); }
-  void send(ByteStream datagram) override;
-  std::size_t tick() override;
-  std::size_t pending() const override { return queue_.size(); }
+  explicit FaultyTransport(FaultPlan plan = {});
+
+  void set_receiver(DeliverFn fn) { receiver_ = std::move(fn); }
+  void send(ByteStream datagram);
+  /// Advance the virtual clock one tick; deliver anything due. Returns
+  /// the number of datagrams delivered this tick.
+  std::size_t tick();
+  /// Datagrams accepted but not yet delivered or dropped.
+  std::size_t pending() const { return queue_.size(); }
 
   const TransportStats& stats() const { return stats_; }
   const FaultPlan& plan() const { return plan_; }
@@ -159,9 +132,10 @@ class FaultyTransport final : public FleetTransport {
   };
 
   void enqueue(ByteStream bytes, std::uint64_t due);
+  void deliver(const ByteStream& datagram);
 
-  FleetTransport& inner_;
   FaultPlan plan_;
+  DeliverFn receiver_;
   TransportStats stats_;
   std::vector<Queued> queue_;
   std::uint64_t now_ = 0;
@@ -190,7 +164,7 @@ struct ReliableLinkStats {
   std::uint64_t corrupt_dropped = 0;  ///< undecodable datagrams discarded
 };
 
-/// Stop-and-wait ARQ over a FleetTransport: each message becomes one
+/// Stop-and-wait ARQ over a FaultyTransport: each message becomes one
 /// sequence-numbered kTransportData frame (FNV-1a-checksummed), the
 /// receiver side dedups by seq, delivers the inner message upward, and
 /// acks; the sender retries on an exponential-backoff schedule until
@@ -205,7 +179,7 @@ class ReliableLink {
   using ImportFn = std::function<void(const ByteStream& inner)>;
 
   /// `transport` is borrowed and must outlive the link.
-  ReliableLink(FleetTransport& transport, ReliableLinkConfig config);
+  ReliableLink(FaultyTransport& transport, ReliableLinkConfig config);
 
   void set_import(ImportFn fn) { import_ = std::move(fn); }
 
@@ -229,7 +203,7 @@ class ReliableLink {
  private:
   void on_datagram(const ByteStream& datagram);
 
-  FleetTransport& transport_;
+  FaultyTransport& transport_;
   ReliableLinkConfig config_;
   ImportFn import_;
   ReliableLinkStats stats_;

@@ -1,15 +1,12 @@
 #include "sa/capture/writer.hpp"
 
-#include <cstdio>
-#include <utility>
-
 #include "sa/common/error.hpp"
 #include "sa/common/logging.hpp"
 
 namespace sa {
 
 CaptureWriter::CaptureWriter(const std::string& path, CaptureHeader header)
-    : path_(path), version_(header.version) {
+    : path_(path), version_(header.version), tracks_(header.num_aps) {
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
     throw Error("CaptureWriter: cannot open '" + path + "' for writing");
@@ -20,7 +17,6 @@ CaptureWriter::CaptureWriter(const std::string& path, CaptureHeader header)
     file_ = nullptr;
     throw Error("CaptureWriter: header write to '" + path + "' failed");
   }
-  flusher_ = std::thread([this] { flusher_loop(); });
 }
 
 CaptureWriter::~CaptureWriter() {
@@ -31,119 +27,76 @@ CaptureWriter::~CaptureWriter() {
   }
 }
 
-void CaptureWriter::enqueue(RecordType type, const ByteStream& payload) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) throw StateError("CaptureWriter: record after close()");
-    append_record(pending_, type, payload);
-    switch (type) {
-      case RecordType::kChunk: ++chunks_; break;
-      case RecordType::kDecision: ++decisions_; break;
-      case RecordType::kSiteDecision: ++decisions_; break;
-      case RecordType::kAssoc: ++assocs_; break;
-      case RecordType::kTransport: break;  // not tallied in kEnd
-      case RecordType::kDrain: ++drains_; break;
-      case RecordType::kEnd: break;
-    }
-    ++generation_;
+void CaptureWriter::write(RecordType type, const ByteStream& payload) {
+  if (closed_) throw StateError("CaptureWriter: record after close()");
+  ByteStream record;
+  append_record(record, type, payload);
+  if (std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
+    write_failed_ = true;
   }
-  work_cv_.notify_one();
 }
 
-void CaptureWriter::record_chunk(std::size_t ap, std::uint64_t round,
-                                 std::uint64_t base, const CMat& samples) {
-  enqueue(RecordType::kChunk,
-          encode_chunk(static_cast<std::uint32_t>(ap), round, base, samples));
+void CaptureWriter::record(RecordType type, const ByteStream& payload) {
+  std::lock_guard<std::mutex> lock(mu_);
+  write(type, payload);
+  switch (type) {
+    case RecordType::kDecision: ++decisions_; break;
+    case RecordType::kSiteDecision: ++decisions_; break;
+    case RecordType::kAssoc: ++assocs_; break;
+    case RecordType::kDrain: ++drains_; break;
+    default: break;  // kTransport is not tallied in kEnd
+  }
+}
+
+void CaptureWriter::record_chunk(std::size_t ap, const CMat& samples) {
+  std::lock_guard<std::mutex> lock(mu_);
+  SA_EXPECTS(ap < tracks_.size());
+  ApTrack& track = tracks_[ap];
+  write(RecordType::kChunk, encode_chunk(static_cast<std::uint32_t>(ap),
+                                         track.chunks, track.columns, samples));
+  ++track.chunks;
+  track.columns += samples.cols();
+  ++chunks_;
 }
 
 void CaptureWriter::record_decision(std::uint64_t sequence,
                                     std::uint64_t absolute_start,
                                     const FrameDecision& decision) {
-  enqueue(RecordType::kDecision,
-          encode_decision(sequence, absolute_start, decision));
+  record(RecordType::kDecision,
+         encode_decision(sequence, absolute_start, decision));
 }
 
 void CaptureWriter::record_site_decision(std::uint32_t site,
                                          std::uint64_t sequence,
                                          std::uint64_t absolute_start,
                                          const FrameDecision& decision) {
-  enqueue(RecordType::kSiteDecision,
-          encode_site_decision(site, sequence, absolute_start, decision));
+  record(RecordType::kSiteDecision,
+         encode_site_decision(site, sequence, absolute_start, decision));
 }
 
 void CaptureWriter::record_assoc(const AssocRecord& assoc) {
-  enqueue(RecordType::kAssoc, encode_assoc(assoc));
+  record(RecordType::kAssoc, encode_assoc(assoc));
 }
 
 void CaptureWriter::record_transport(const TransportRecord& transport) {
-  enqueue(RecordType::kTransport, encode_transport(transport));
+  record(RecordType::kTransport, encode_transport(transport));
 }
 
-void CaptureWriter::record_drain() { enqueue(RecordType::kDrain, {}); }
-
-void CaptureWriter::flusher_loop() {
-  ByteStream block;
-  for (;;) {
-    std::uint64_t upto = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
-      if (pending_.empty() && stop_) return;
-      // Capture the generation under the same lock as the swap: at this
-      // instant pending_ holds every record up to generation_.
-      upto = generation_;
-      block.swap(pending_);
-    }
-    bool ok = true;
-    if (!block.empty() && file_ != nullptr) {
-      ok = std::fwrite(block.data(), 1, block.size(), file_) == block.size();
-      if (ok) ok = std::fflush(file_) == 0;
-    }
-    block.clear();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      flushed_gen_ = upto;
-      if (!ok) write_failed_ = true;
-    }
-    drained_cv_.notify_all();
-  }
-}
-
-void CaptureWriter::flush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  const std::uint64_t target = generation_;
-  drained_cv_.wait(lock, [&] { return flushed_gen_ >= target; });
-  if (write_failed_) {
-    throw Error("CaptureWriter: write to '" + path_ + "' failed");
-  }
-}
+void CaptureWriter::record_drain() { record(RecordType::kDrain, {}); }
 
 void CaptureWriter::close() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) return;
-    EndRecord end;
-    end.chunks = chunks_;
-    end.decisions = decisions_;
-    end.drains = drains_;
-    end.assocs = assocs_;
-    append_record(pending_, RecordType::kEnd, encode_end(end, version_));
-    ++generation_;
-    closed_ = true;
-    stop_ = true;
-  }
-  work_cv_.notify_one();
-  if (flusher_.joinable()) flusher_.join();
-  bool failed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    failed = write_failed_;
-  }
-  if (file_ != nullptr) {
-    if (std::fclose(file_) != 0) failed = true;
-    file_ = nullptr;
-  }
-  if (failed) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) return;
+  EndRecord end;
+  end.chunks = chunks_;
+  end.decisions = decisions_;
+  end.drains = drains_;
+  end.assocs = assocs_;
+  write(RecordType::kEnd, encode_end(end, version_));
+  closed_ = true;
+  if (std::fclose(file_) != 0) write_failed_ = true;
+  file_ = nullptr;
+  if (write_failed_) {
     throw Error("CaptureWriter: write to '" + path_ + "' failed");
   }
 }

@@ -5,7 +5,6 @@
 #include <map>
 #include <utility>
 
-#include "sa/capture/writer.hpp"
 #include "sa/common/error.hpp"
 #include "sa/common/logging.hpp"
 #include "sa/linalg/lanes.hpp"
@@ -110,8 +109,7 @@ void EngineSession::submit(std::size_t ap_index, CMat chunk) {
   // gap the capture fuzz loop found). One comparison per component,
   // |v| <= kMaxIqMagnitude, catches all three: NaN compares false.
   // Every ingest path funnels through here — capture replay included —
-  // so one check covers them all, before the chunk is recorded or
-  // enters the rings.
+  // so one check covers them all, before the chunk enters the rings.
   const std::size_t n_samples = chunk.rows() * chunk.cols();
   if (!lanes::parts_within(chunk.raw(), n_samples, kMaxIqMagnitude)) {
     std::size_t i = 0;
@@ -148,17 +146,6 @@ void EngineSession::submit(std::size_t ap_index, CMat chunk) {
       throw StateError("EngineSession::submit after close()");
     }
   }
-  CaptureWriter* capture = config_.engine.capture;
-  if (capture != nullptr && !capture->closed()) {
-    // Still under producer_mu, so this AP's chunk records are written in
-    // submission order with consistent round/base bookkeeping. The AP
-    // base offsets this session's local indices into the fleet-global
-    // AP id space (0 outside a fleet).
-    capture->record_chunk(config_.engine.capture_ap_base + ap_index,
-                          lane.rounds, lane.base, chunk);
-  }
-  ++lane.rounds;
-  lane.base += chunk.cols();
   const bool pushed = lane.ring.try_push(std::move(chunk));
   SA_EXPECTS(pushed);  // capacity >= max_pending_chunks by construction
   atomic_max(stats_.max_submit_ring_occupancy, lane.ring.size());
@@ -177,15 +164,6 @@ void EngineSession::drain() {
   throw_if_failed();
   if (closing_.load(std::memory_order_acquire)) {
     throw StateError("EngineSession::drain after close()");
-  }
-  if (CaptureWriter* capture = config_.engine.capture;
-      capture != nullptr && !capture->closed() &&
-      config_.engine.capture_drains) {
-    // The marker lands after every chunk this caller submitted (same
-    // thread) — exactly the boundary replay must reproduce. A fleet
-    // session suppresses this (capture_drains=false): the coordinator
-    // records one global marker per drain_all() instead.
-    capture->record_drain();
   }
   const std::uint64_t ticket =
       drains_requested_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -397,15 +375,6 @@ void EngineSession::decide(std::size_t sequence, const FrameGroup& group) {
   d.sequence = sequence;
   d.absolute_start = group.absolute_start;
   d.decision = coordinator_.process_prejudged(group.observations, so, sequence);
-  if (CaptureWriter* capture = config_.engine.capture;
-      capture != nullptr && !capture->closed()) {
-    if (config_.engine.capture_site) {
-      capture->record_site_decision(*config_.engine.capture_site, d.sequence,
-                                    d.absolute_start, d.decision);
-    } else {
-      capture->record_decision(d.sequence, d.absolute_start, d.decision);
-    }
-  }
   sink_(d);
   stats_.decisions_emitted.fetch_add(1, std::memory_order_release);
 }

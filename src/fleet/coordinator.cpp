@@ -74,7 +74,9 @@ const char* to_string(HandoffOutcome outcome) {
 }
 
 FleetCoordinator::FleetCoordinator(FleetConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      channel_(config_.fault_plan),
+      link_(channel_, config_.link) {
   SA_EXPECTS(config_.spec.num_sites >= 1);
   SA_EXPECTS(config_.spec.site.num_aps >= 1);
   if (config_.spoof_idle_frames) {
@@ -96,29 +98,22 @@ FleetCoordinator::FleetCoordinator(FleetConfig config)
     EngineConfig engine = site.deployment->engine;
     engine.num_threads = config_.threads_per_site;
     engine.coordinator.spoof_idle_frames = idle_frames_;
-    engine.capture = config_.capture;
-    engine.capture_ap_base =
-        static_cast<std::uint32_t>(i * config_.spec.site.num_aps);
-    engine.capture_site = static_cast<std::uint32_t>(i);
-    engine.capture_drains = false;  // drain_all records the fleet boundary
     SessionConfig scfg;
     scfg.engine = std::move(engine);
     // sites_ was reserved above, so the decisions vector never moves.
     std::vector<EngineDecision>* out = &site.decisions;
+    const auto id = static_cast<std::uint32_t>(i);
     site.session = std::make_unique<EngineSession>(
         std::move(scfg), site.deployment->ap_ptrs,
-        [out](const EngineDecision& d) { out->push_back(d); });
+        [this, out, id](const EngineDecision& d) {
+          if (CaptureWriter* writer = recorder()) {
+            writer->record_site_decision(id, d.sequence, d.absolute_start,
+                                         d.decision);
+          }
+          out->push_back(d);
+        });
   }
-
-  // Transport stack: loopback at the bottom; the lossy decorator only
-  // when a plan is active, so the default path stays a direct call.
-  FleetTransport* top = &loopback_;
-  if (config_.fault_plan.active()) {
-    faulty_ = std::make_unique<FaultyTransport>(loopback_, config_.fault_plan);
-    top = faulty_.get();
-  }
-  link_ = std::make_unique<ReliableLink>(*top, config_.link);
-  link_->set_import([this](const ByteStream& inner) { apply_wire(inner); });
+  link_.set_import([this](const ByteStream& inner) { apply_wire(inner); });
 }
 
 FleetCoordinator::~FleetCoordinator() = default;
@@ -127,6 +122,9 @@ void FleetCoordinator::submit(std::uint32_t site, std::size_t local_ap,
                               CMat chunk) {
   SA_EXPECTS(site < sites_.size());
   SA_EXPECTS(local_ap < aps_per_site());
+  if (CaptureWriter* writer = recorder()) {
+    writer->record_chunk(site * aps_per_site() + local_ap, chunk);
+  }
   sites_[site].session->submit(local_ap, std::move(chunk));
 }
 
@@ -138,8 +136,10 @@ void FleetCoordinator::submit_global(std::uint32_t global_ap, CMat chunk) {
 
 void FleetCoordinator::submit_round(std::uint32_t site,
                                     std::vector<CMat> chunks) {
-  SA_EXPECTS(site < sites_.size());
-  sites_[site].session->submit_round(std::move(chunks));
+  SA_EXPECTS(chunks.size() == aps_per_site());
+  for (std::size_t ap = 0; ap < chunks.size(); ++ap) {
+    submit(site, ap, std::move(chunks[ap]));
+  }
 }
 
 HandoffResult FleetCoordinator::notify_association(const MacAddress& mac,
@@ -183,7 +183,7 @@ HandoffResult FleetCoordinator::notify_association(const MacAddress& mac,
   result.wire = encode_client_state(msg);
   result.generation = next_gen;
 
-  const ReliableLink::SendReport report = link_->send_reliable(result.wire);
+  const ReliableLink::SendReport report = link_.send_reliable(result.wire);
   result.attempts = report.attempts;
   result.migrated = true;
   result.outcome = FleetImportOutcome::kApplied;
@@ -252,9 +252,7 @@ void FleetCoordinator::drain_all() {
   std::lock_guard<std::mutex> lock(mu_);
   for (Site& site : sites_) site.session->drain();
   ++stats_.drains;
-  if (config_.capture != nullptr && !config_.capture->closed()) {
-    config_.capture->record_drain();
-  }
+  if (CaptureWriter* writer = recorder()) writer->record_drain();
 }
 
 void FleetCoordinator::close() {
@@ -289,7 +287,7 @@ std::optional<std::uint64_t> FleetCoordinator::generation_of(
 FleetStats FleetCoordinator::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   FleetStats out = stats_;
-  const ReliableLinkStats& ls = link_->stats();
+  const ReliableLinkStats& ls = link_.stats();
   out.retries = ls.retransmits;
   out.timeouts = ls.timeouts;
   out.duplicates_suppressed = ls.duplicates_suppressed;
@@ -302,19 +300,24 @@ FleetStats FleetCoordinator::stats() const {
 
 TransportStats FleetCoordinator::transport_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!faulty_) return TransportStats{};
-  return faulty_->stats();
+  return channel_.stats();
+}
+
+CaptureWriter* FleetCoordinator::recorder() const {
+  CaptureWriter* writer = config_.capture;
+  return writer != nullptr && !writer->closed() ? writer : nullptr;
 }
 
 void FleetCoordinator::record_assoc(std::uint32_t site,
                                     std::uint64_t generation,
                                     const MacAddress& mac) {
-  if (config_.capture == nullptr || config_.capture->closed()) return;
+  CaptureWriter* writer = recorder();
+  if (writer == nullptr) return;
   AssocRecord assoc;
   assoc.site = site;
   assoc.generation = generation;
   assoc.mac = mac.octets();
-  config_.capture->record_assoc(assoc);
+  writer->record_assoc(assoc);
 }
 
 void FleetCoordinator::record_transport(const MacAddress& mac,
@@ -324,14 +327,14 @@ void FleetCoordinator::record_transport(const MacAddress& mac,
   // Only lossy runs carry transport verdicts (they are what makes the
   // capture version 3); the zero-fault capture stays byte-identical to
   // the pre-transport format.
-  if (!config_.fault_plan.active()) return;
-  if (config_.capture == nullptr || config_.capture->closed()) return;
+  CaptureWriter* writer = config_.fault_plan.active() ? recorder() : nullptr;
+  if (writer == nullptr) return;
   TransportRecord rec;
   rec.mac = mac.octets();
   rec.generation = generation;
   rec.outcome = static_cast<std::uint32_t>(outcome);
   rec.attempts = attempts;
-  config_.capture->record_transport(rec);
+  writer->record_transport(rec);
 }
 
 }  // namespace sa

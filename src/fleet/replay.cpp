@@ -162,6 +162,7 @@ FleetReplayResult run(CaptureReader reader, std::size_t threads_per_site) {
     const auto& actual = fleet.decisions(s);
     const auto& want = expected[s];
     if (actual.size() != want.size()) {
+      result.diverged = true;
       return fail(result, "site " + std::to_string(s) + ": replay emitted " +
                               std::to_string(actual.size()) +
                               " decisions, capture has " +
@@ -175,6 +176,7 @@ FleetReplayResult run(CaptureReader reader, std::size_t threads_per_site) {
                                      d.sequence, d.absolute_start, d.decision)
               : encode_decision(d.sequence, d.absolute_start, d.decision);
       if (got != want[i]) {
+        result.diverged = true;
         return fail(result, "site " + std::to_string(s) + " decision " +
                                 std::to_string(i) +
                                 " diverged from the recorded bytes");

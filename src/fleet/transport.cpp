@@ -177,8 +177,12 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& text) {
   return plan;
 }
 
-FaultyTransport::FaultyTransport(FleetTransport& inner, FaultPlan plan)
-    : inner_(inner), plan_(std::move(plan)) {}
+FaultyTransport::FaultyTransport(FaultPlan plan) : plan_(std::move(plan)) {}
+
+void FaultyTransport::deliver(const ByteStream& datagram) {
+  ++stats_.delivered;
+  if (receiver_) receiver_(datagram);
+}
 
 void FaultyTransport::enqueue(ByteStream bytes, std::uint64_t due) {
   Queued q;
@@ -191,6 +195,10 @@ void FaultyTransport::enqueue(ByteStream bytes, std::uint64_t due) {
 void FaultyTransport::send(ByteStream datagram) {
   const std::uint64_t index = next_index_++;
   ++stats_.sent;
+  if (!plan_.active()) {
+    deliver(datagram);  // the zero-fault path stays a direct call
+    return;
+  }
   switch (plan_.verdict(index)) {
     case FaultKind::kDrop:
       ++stats_.dropped;
@@ -247,14 +255,11 @@ std::size_t FaultyTransport::tick() {
   std::sort(due.begin(), due.end(), [](const Queued& a, const Queued& b) {
     return a.due != b.due ? a.due < b.due : a.order < b.order;
   });
-  for (Queued& q : due) {
-    ++stats_.delivered;
-    inner_.send(std::move(q.bytes));
-  }
+  for (const Queued& q : due) deliver(q.bytes);
   return due.size();
 }
 
-ReliableLink::ReliableLink(FleetTransport& transport,
+ReliableLink::ReliableLink(FaultyTransport& transport,
                            ReliableLinkConfig config)
     : transport_(transport), config_(config) {
   SA_EXPECTS(config_.max_attempts >= 1);

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "sa/capture/format.hpp"
 #include "sa/capture/reader.hpp"
@@ -63,8 +64,8 @@ FrameDecision sample_decision() {
 /// and return its bytes.
 ByteStream write_sample_capture(const std::string& path) {
   CaptureWriter writer(path, small_header());
-  writer.record_chunk(0, 0, 0, small_chunk(2, 5, 0.5));
-  writer.record_chunk(1, 0, 0, small_chunk(2, 5, 1.5));
+  writer.record_chunk(0, small_chunk(2, 5, 0.5));
+  writer.record_chunk(1, small_chunk(2, 5, 1.5));
   writer.record_decision(0, 123, sample_decision());
   writer.record_drain();
   writer.close();
@@ -184,8 +185,8 @@ TEST(CaptureWriterReader, WriterCloseSemantics) {
   writer.record_drain();
   writer.close();
   EXPECT_TRUE(writer.closed());
-  // Recording after close is a state error (the engine taps guard on
-  // closed() for exactly this reason).
+  // Recording after close is a state error (a FleetCoordinator checks
+  // closed() before it records, for exactly this reason).
   EXPECT_THROW(writer.record_drain(), StateError);
   EXPECT_THROW(writer.record_decision(0, 0, sample_decision()), StateError);
   // close() is idempotent.
@@ -195,6 +196,67 @@ TEST(CaptureWriterReader, WriterCloseSemantics) {
   ASSERT_TRUE(reader.has_value());
   EXPECT_TRUE(reader->validate().ok);
   std::remove(path.c_str());
+}
+
+TEST(CaptureWriterReader, NumbersEachApsChunksItself) {
+  // Two APs interleaved, with unequal chunk widths: each chunk record's
+  // round counts that AP's earlier chunks, and its base sums their
+  // columns.
+  const std::string path = temp_path("numbering");
+  {
+    CaptureWriter writer(path, small_header());
+    writer.record_chunk(1, small_chunk(2, 7, 0.0));
+    writer.record_chunk(0, small_chunk(2, 3, 1.0));
+    writer.record_chunk(0, small_chunk(2, 5, 2.0));
+    writer.record_chunk(1, small_chunk(2, 2, 3.0));
+    writer.record_chunk(0, small_chunk(2, 4, 4.0));
+    writer.record_chunk(1, small_chunk(2, 6, 5.0));
+    EXPECT_EQ(writer.chunks_recorded(), 6u);
+    writer.close();
+  }
+  auto reader = CaptureReader::from_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(reader.has_value());
+  struct Want {
+    std::uint32_t ap;
+    std::uint64_t round;
+    std::uint64_t base;
+    std::size_t cols;
+  };
+  const std::vector<Want> want = {{1, 0, 0, 7},  {0, 0, 0, 3},
+                                  {0, 1, 3, 5},  {1, 1, 7, 2},
+                                  {0, 2, 8, 4},  {1, 2, 9, 6}};
+  for (const Want& w : want) {
+    auto rec = reader->next();
+    ASSERT_TRUE(rec && rec->type == RecordType::kChunk);
+    EXPECT_EQ(rec->chunk->ap, w.ap);
+    EXPECT_EQ(rec->chunk->round, w.round);
+    EXPECT_EQ(rec->chunk->base, w.base);
+    EXPECT_EQ(rec->chunk->samples.cols(), w.cols);
+  }
+  auto end = reader->next();
+  ASSERT_TRUE(end && end->type == RecordType::kEnd);
+  EXPECT_EQ(end->end->chunks, 6u);
+  EXPECT_TRUE(reader->validate().ok);
+}
+
+TEST(CaptureWriter, RefusesAnApOutsideTheHeader) {
+  const std::string path = temp_path("bad_ap");
+  CaptureWriter writer(path, small_header());  // num_aps = 2
+  writer.record_chunk(1, small_chunk(2, 4, 0.0));
+  EXPECT_THROW(writer.record_chunk(2, small_chunk(2, 4, 1.0)),
+               InvalidArgument);
+  EXPECT_EQ(writer.chunks_recorded(), 1u);
+  writer.close();
+
+  // The refused chunk left no trace: the file still closes valid, with
+  // the one chunk recorded before it.
+  auto reader = CaptureReader::from_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(reader.has_value());
+  const ValidationReport report = reader->validate();
+  EXPECT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.chunks, 1u);
 }
 
 TEST(CaptureReader, TruncatedFileFailsValidation) {
@@ -295,8 +357,8 @@ TEST(CaptureDiffTool, EqualAndUnequalCaptures) {
   const std::string pc = temp_path("diff_c");
   {
     CaptureWriter writer(pc, small_header());
-    writer.record_chunk(0, 0, 0, small_chunk(2, 5, 0.5));
-    writer.record_chunk(1, 0, 0, small_chunk(2, 5, 1.5));
+    writer.record_chunk(0, small_chunk(2, 5, 0.5));
+    writer.record_chunk(1, small_chunk(2, 5, 1.5));
     FrameDecision changed = sample_decision();
     changed.accepted = true;
     changed.policy = "";
@@ -321,19 +383,19 @@ TEST(CaptureDiffTool, ChunkInterleavingDoesNotMatter) {
   const std::string pb = temp_path("ilv_b");
   {
     CaptureWriter writer(pa, small_header());
-    writer.record_chunk(0, 0, 0, small_chunk(2, 4, 0.0));
-    writer.record_chunk(0, 1, 4, small_chunk(2, 4, 1.0));
-    writer.record_chunk(1, 0, 0, small_chunk(2, 4, 2.0));
-    writer.record_chunk(1, 1, 4, small_chunk(2, 4, 3.0));
+    writer.record_chunk(0, small_chunk(2, 4, 0.0));
+    writer.record_chunk(0, small_chunk(2, 4, 1.0));
+    writer.record_chunk(1, small_chunk(2, 4, 2.0));
+    writer.record_chunk(1, small_chunk(2, 4, 3.0));
     writer.record_drain();
     writer.close();
   }
   {
     CaptureWriter writer(pb, small_header());
-    writer.record_chunk(1, 0, 0, small_chunk(2, 4, 2.0));
-    writer.record_chunk(0, 0, 0, small_chunk(2, 4, 0.0));
-    writer.record_chunk(1, 1, 4, small_chunk(2, 4, 3.0));
-    writer.record_chunk(0, 1, 4, small_chunk(2, 4, 1.0));
+    writer.record_chunk(1, small_chunk(2, 4, 2.0));
+    writer.record_chunk(0, small_chunk(2, 4, 0.0));
+    writer.record_chunk(1, small_chunk(2, 4, 3.0));
+    writer.record_chunk(0, small_chunk(2, 4, 1.0));
     writer.record_drain();
     writer.close();
   }

@@ -20,6 +20,7 @@
 
 #include "sa/capture/reader.hpp"
 #include "sa/capture/writer.hpp"
+#include "sa/common/error.hpp"
 #include "sa/engine/session.hpp"
 #include "sa/fleet/coordinator.hpp"
 #include "sa/fleet/replay.hpp"
@@ -61,9 +62,20 @@ ScenarioConfig short_scenario(ScenarioKind kind) {
   return sc;
 }
 
-/// Run `scenario` through a live simulated deployment with a capture tap
-/// attached, exactly like scenario_runner --capture does. Returns the
-/// recorded bytes.
+/// Record a round's chunks, then submit them: the driver records the
+/// chunks it owns, as scenario_runner --capture does.
+void submit_recorded(EngineSession& session, CaptureWriter& writer,
+                     std::vector<CMat> chunks) {
+  for (std::size_t ap = 0; ap < chunks.size(); ++ap) {
+    writer.record_chunk(ap, chunks[ap]);
+  }
+  session.submit_round(std::move(chunks));
+}
+
+/// Run `scenario` through a live simulated deployment and record it
+/// exactly like scenario_runner --capture does: chunks before submit,
+/// each decision first thing in the sink, the drain marker before
+/// drain(). Returns the recorded bytes.
 ByteStream record_scenario(const DeploymentSpec& spec, ScenarioConfig sc,
                            const std::string& path) {
   BuiltDeployment dep = build_deployment(spec, /*with_sim=*/true);
@@ -72,8 +84,9 @@ ByteStream record_scenario(const DeploymentSpec& spec, ScenarioConfig sc,
   SessionConfig scfg;
   scfg.engine = dep.engine;
   scfg.engine.num_threads = 1;
-  scfg.engine.capture = &writer;
-  EngineSession session(scfg, dep.ap_ptrs, [](const EngineDecision&) {});
+  EngineSession session(scfg, dep.ap_ptrs, [&](const EngineDecision& d) {
+    writer.record_decision(d.sequence, d.absolute_start, d.decision);
+  });
 
   ScenarioGenerator gen(dep.testbed, sc, dep.traffic_rng, spec.estimator);
   std::uint16_t seq = 0;
@@ -82,12 +95,14 @@ ByteStream record_scenario(const DeploymentSpec& spec, ScenarioConfig sc,
     const Frame f = Frame::data(MacAddress::from_index(0xFF), ev->mac,
                                 Bytes{1, 2, 3}, seq++);
     const CVec w = PacketTransmitter(PhyRate::k6Mbps).transmit(f.serialize());
-    session.submit_round(
+    submit_recorded(
+        session, writer,
         dep.sim->transmit(ev->from, w, ev->pattern ? &*ev->pattern : nullptr));
   }
+  writer.record_drain();
   session.drain();
-  writer.close();
   session.close();
+  writer.close();
 
   auto reader = CaptureReader::from_file(path);
   EXPECT_TRUE(reader.has_value());
@@ -227,6 +242,8 @@ TEST(Replay, AlteredDecisionBytesFail) {
   ASSERT_TRUE(flipped) << "scenario produced no decisions";
   const FleetReplayResult result = replay_fleet_capture(assemble(parsed), 2);
   EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.diverged);
+  EXPECT_FALSE(result.refused);
   EXPECT_NE(result.error.find("diverged"), std::string::npos) << result.error;
 }
 
@@ -264,6 +281,50 @@ TEST(Replay, NonFiniteSampleIsRefusedAtSubmit) {
   EXPECT_FALSE(result.error.empty());
   // Clean captures and other failures are never refusals.
   EXPECT_FALSE(replay_fleet_capture(recorded, 1).refused);
+}
+
+TEST(Replay, ARecordedChunkTheSessionRefusesIsRefusedOnReplay) {
+  // The driver records a chunk before it submits it, so a chunk the
+  // session refuses is in the capture, and replay refuses it at the same
+  // record.
+  const DeploymentSpec spec = small_spec(3);
+  const std::string path = temp_path("refused_live");
+  BuiltDeployment dep = build_deployment(spec, /*with_sim=*/true);
+  CaptureWriter writer(path, capture_header_for(spec));
+  SessionConfig scfg;
+  scfg.engine = dep.engine;
+  EngineSession session(scfg, dep.ap_ptrs, [&](const EngineDecision& d) {
+    writer.record_decision(d.sequence, d.absolute_start, d.decision);
+  });
+  const Frame f = Frame::data(MacAddress::from_index(0xFF),
+                              MacAddress::from_index(1), Bytes{1, 2, 3}, 0);
+  const CVec w = PacketTransmitter(PhyRate::k6Mbps).transmit(f.serialize());
+  const Vec2 from = dep.testbed.client(1).position;
+  submit_recorded(session, writer, dep.sim->transmit(from, w, nullptr));
+  // The second round's AP 1 chunk carries a NaN: AP 0's chunk goes in,
+  // AP 1's is refused, and both are recorded.
+  std::vector<CMat> poisoned = dep.sim->transmit(from, w, nullptr);
+  poisoned[1](0, 0) = cd(std::numeric_limits<double>::quiet_NaN(), 0.0);
+  EXPECT_THROW(submit_recorded(session, writer, std::move(poisoned)),
+               InvalidArgument);
+  writer.record_drain();
+  session.drain();
+  session.close();
+  writer.close();
+  EXPECT_EQ(writer.chunks_recorded(), 4u);
+
+  auto reader = CaptureReader::from_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(reader.has_value());
+  ASSERT_TRUE(reader->validate().ok) << reader->validate().error;
+  const FleetReplayResult result = replay_fleet_capture(reader->bytes(), 1);
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.refused);
+  EXPECT_FALSE(result.diverged);
+  EXPECT_EQ(result.chunks_submitted, 3u);  // refused at the fourth record
+  EXPECT_NE(result.error.find("kMaxIqMagnitude"), std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.find("ap 1"), std::string::npos) << result.error;
 }
 
 TEST(Replay, FailsOnWhatItCannotVerify) {

@@ -122,20 +122,19 @@ TEST(FaultPlan, StringRoundTripAndRejection) {
 
 struct Delivered {
   std::vector<ByteStream> datagrams;
-  void attach(FleetTransport& t) {
+  void attach(FaultyTransport& t) {
     t.set_receiver([this](const ByteStream& d) { datagrams.push_back(d); });
   }
 };
 
 TEST(FaultyTransport, ForcedVerdictsShapeTheChannel) {
-  LoopbackTransport inner;
   FaultPlan plan;
   plan.schedule[0] = FaultKind::kDrop;
   plan.schedule[1] = FaultKind::kReorder;
   plan.schedule[3] = FaultKind::kDuplicate;
   plan.schedule[4] = FaultKind::kDelay;
   plan.delay_ticks = 3;
-  FaultyTransport channel(inner, plan);
+  FaultyTransport channel(plan);
   Delivered sink;
   sink.attach(channel);
 
@@ -169,10 +168,9 @@ TEST(FaultyTransport, ForcedVerdictsShapeTheChannel) {
 }
 
 TEST(FaultyTransport, CorruptionFlipsBitsButDelivers) {
-  LoopbackTransport inner;
   FaultPlan plan;
   plan.schedule[0] = FaultKind::kCorrupt;
-  FaultyTransport channel(inner, plan);
+  FaultyTransport channel(plan);
   Delivered sink;
   sink.attach(channel);
 
@@ -185,8 +183,7 @@ TEST(FaultyTransport, CorruptionFlipsBitsButDelivers) {
   EXPECT_EQ(channel.stats().corrupted, 1u);
 
   // Same plan, same index -> the same corrupted bytes (replay safety).
-  LoopbackTransport inner2;
-  FaultyTransport channel2(inner2, plan);
+  FaultyTransport channel2(plan);
   Delivered sink2;
   sink2.attach(channel2);
   channel2.send(original);
@@ -208,13 +205,12 @@ ByteStream sample_message() {
 }
 
 struct LossyLink {
-  LoopbackTransport inner;
   FaultyTransport channel;
   ReliableLink link;
   std::vector<ByteStream> imported;
 
   explicit LossyLink(FaultPlan plan, ReliableLinkConfig config = {})
-      : channel(inner, std::move(plan)), link(channel, config) {
+      : channel(std::move(plan)), link(channel, config) {
     link.set_import(
         [this](const ByteStream& m) { imported.push_back(m); });
   }
@@ -229,6 +225,11 @@ TEST(ReliableLink, DeliversFirstTryOnAQuietChannel) {
   ASSERT_EQ(l.imported.size(), 1u);
   EXPECT_EQ(l.imported[0], msg);
   EXPECT_EQ(l.link.stats().retransmits, 0u);
+  // A quiet channel delivers inside send(): no tick passes, and the
+  // data frame and its ack are both counted.
+  EXPECT_EQ(report.ticks, 0u);
+  EXPECT_EQ(l.channel.stats().sent, 2u);
+  EXPECT_EQ(l.channel.stats().delivered, 2u);
 }
 
 TEST(ReliableLink, RetriesThroughADroppedFrame) {
@@ -345,7 +346,7 @@ TEST(ReliableLink, StaleAckAfterColdStartIsIgnored) {
 // bring back, which duplicate suppression still needs.
 TEST(ReliableLink, RemembersOnlySeqsThatCanStillArrive) {
   {
-    LoopbackTransport channel;
+    FaultyTransport channel;
     ReliableLink link(channel, ReliableLinkConfig{});
     std::size_t imported = 0;
     link.set_import([&](const ByteStream&) { ++imported; });

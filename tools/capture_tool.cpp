@@ -626,14 +626,19 @@ ByteStream fuzz_replay_input(const ByteStream& mutant,
 /// `policies` / `max_tracked` replace every site's policy chain and
 /// tracked-MAC bound, e.g. the full acl,fence,spoof,rate stack with a
 /// bound small enough that the compact per-MAC state is forced to evict
-/// under fire.
+/// under fire. Each replay ends one of four ways, counted apart: byte-
+/// identical; refused at submit; diverged at the final comparison, after
+/// replaying every record (the runs that drive the whole chain); or
+/// stopped on a malformed record (or a header, handoff or transport
+/// record replay could not verify).
 int cmd_fuzz(const std::string& path, std::uint64_t seed, std::size_t count,
              std::size_t ops, bool with_replay, const std::string& policies,
              std::size_t max_tracked) {
   const ByteStream original = read_file_or_die(path);
   const std::optional<CaptureHeader> original_header =
       CaptureReader{ByteStream(original)}.header();
-  std::size_t parsed_ok = 0, rejected = 0, replays = 0, replay_errors = 0;
+  std::size_t parsed_ok = 0, rejected = 0;
+  std::size_t identical = 0, refused = 0, diverged = 0, malformed = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const ByteStream mutant = mutate_capture(original, seed + i, ops);
     CaptureReader reader{ByteStream(mutant)};
@@ -648,9 +653,13 @@ int cmd_fuzz(const std::string& path, std::uint64_t seed, std::size_t count,
                           max_tracked),
         /*threads_per_site=*/1);
     if (result.ok) {
-      ++replays;
+      ++identical;
+    } else if (result.refused) {
+      ++refused;
+    } else if (result.diverged) {
+      ++diverged;
     } else {
-      ++replay_errors;
+      ++malformed;
     }
   }
   std::printf(
@@ -659,8 +668,10 @@ int cmd_fuzz(const std::string& path, std::uint64_t seed, std::size_t count,
       path.c_str(), count, static_cast<unsigned long long>(seed), ops,
       parsed_ok, rejected);
   if (with_replay) {
-    std::printf(", %zu replayed, %zu rejected in replay", replays,
-                replay_errors);
+    std::printf(
+        "; replay: %zu byte-identical, %zu refused at submit, %zu stopped "
+        "on a malformed record, %zu diverged at the final comparison",
+        identical, refused, malformed, diverged);
   }
   std::printf(" — no crashes\n");
   return 0;

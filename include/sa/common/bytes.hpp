@@ -1,5 +1,5 @@
 // Little-endian byte codec shared by every binary format in the library:
-// the SAA/SAT signature containers (sa/signature/serialize.hpp), the
+// the SAT1 tracker-state container (sa/signature/serialize.hpp), the
 // SACP capture container (sa/capture/format.hpp) and the FleetWire
 // handoff messages (sa/fleet/wire.hpp). Writers append to a ByteStream;
 // ByteReader is a bounded cursor over untrusted bytes.

@@ -4,10 +4,10 @@
 // site exports everything its decision pipeline remembers about the MAC
 // (ClientHandoffState: SAT1-serialized signature-tracker accumulators,
 // ACL verdict, rate-limit residue) and ships it to the destination as
-// one self-contained FleetWire message. The nested tracker block reuses
-// the SAA-family serialization (sa/signature/serialize.hpp), so a
-// handoff carries exactly the bytes an AP reboot would persist — one
-// state format, two transports.
+// one self-contained FleetWire message. The nested tracker block is the
+// SAT1 container (sa/signature/serialize.hpp): the source tracker's
+// TrackerSnapshot, which is its live learning state, so the destination
+// continues training and blending bit-for-bit where the source stopped.
 //
 // Layout (all integers little-endian):
 //

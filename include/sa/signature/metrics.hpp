@@ -12,11 +12,6 @@ namespace sa {
 /// shared grid; in [0, 1], 1 = identical shape.
 double cosine_similarity(const AoaSignature& a, const AoaSignature& b);
 
-/// RMS difference of the dB spectra, floored at `floor_db` (limits the
-/// influence of deep nulls). Units: dB.
-double spectral_distance_db(const AoaSignature& a, const AoaSignature& b,
-                            double floor_db = -30.0);
-
 /// Peak-set distance: greedily match peaks within `match_tolerance_deg`;
 /// matched pairs contribute their angular distance (weighted by linear
 /// peak power), unmatched peaks contribute the full tolerance. Normalized
@@ -34,15 +29,10 @@ struct MatchWeights {
 double match_score(const AoaSignature& a, const AoaSignature& b,
                    const MatchWeights& weights = {});
 
-// Subband-wise variants: both signatures must carry the same band count;
-// each metric is the mean of its single-band value over corresponding
-// bands, so with one band these agree exactly with the overloads above.
-double cosine_similarity(const SubbandSignature& a, const SubbandSignature& b);
-double spectral_distance_db(const SubbandSignature& a,
-                            const SubbandSignature& b,
-                            double floor_db = -30.0);
-double peak_set_distance(const SubbandSignature& a, const SubbandSignature& b,
-                         double match_tolerance_deg = 10.0);
+/// Subband-wise match score, the one the tracker scores with: both
+/// signatures must carry the same band count, and the score is the mean
+/// of the single-band match_score over corresponding bands, so with one
+/// band it agrees exactly with the overload above.
 double match_score(const SubbandSignature& a, const SubbandSignature& b,
                    const MatchWeights& weights = {});
 

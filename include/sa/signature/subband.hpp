@@ -4,9 +4,9 @@
 // multipath structure shifts with wavelength, so an attacker must forge
 // the signature at every subband at once. A SubbandSignature holds the
 // per-band signatures (in ascending subband-frequency order) and is the
-// unit that metrics, serialization, trackers and the spoof detectors
-// compare subband-wise; with one band it degenerates to exactly the
-// paper's single-band signature.
+// unit that match_score, trackers and the spoof detectors compare
+// subband-wise; with one band it degenerates to exactly the paper's
+// single-band signature.
 #pragma once
 
 #include <vector>

@@ -27,12 +27,12 @@ struct TrackerConfig {
   SignatureConfig signature_config;
 };
 
-/// Portable image of a tracker's full learning state, for cross-site
-/// handoff and persistence. It carries the RAW per-band accumulators
-/// (the non-normalized EWMA spectra, with their exact angle grids), not
-/// the materialized reference — restoring a snapshot must continue the
-/// blend arithmetic bit-for-bit, and the SAA1/SAA2 signature wire cannot
-/// do that (it re-derives the grid from start+step and re-normalizes).
+/// A tracker's full learning state: the RAW per-band accumulators (the
+/// non-normalized EWMA spectra, with their exact angle grids), not the
+/// materialized reference. SignatureTracker keeps its state in one of
+/// these, so snapshot() and restore() are plain copies, and a restored
+/// tracker continues the blend arithmetic bit-for-bit. Cross-site
+/// handoff ships it as the SAT1 block (sa/signature/serialize.hpp).
 struct TrackerSnapshot {
   bool trained = false;
   std::uint64_t training_seen = 0;
@@ -64,22 +64,24 @@ class SignatureTracker {
 
   /// Feed one observed wideband signature; returns the verdict against
   /// the tracked per-band references (subband-wise mean match score). A
-  /// band-count change after training is an automatic mismatch (an
-  /// attacker cannot downgrade a reference to fewer bands); during
-  /// training it restarts the accumulation with the new band count.
+  /// shape change — another band count, or a band with another grid
+  /// size or wrap flag — after training is an automatic mismatch (an
+  /// attacker cannot downgrade a reference to fewer bands, and a tracker
+  /// handed off from a site with another grid cannot be scored here);
+  /// during training it restarts the accumulation with the new shape.
   TrackerDecision observe(const SubbandSignature& observed);
   /// Single-band compatibility overload.
   TrackerDecision observe(const AoaSignature& observed);
 
-  bool trained() const { return trained_; }
+  bool trained() const { return state_.trained; }
   /// Current reference collapsed to one band (fused across subbands);
   /// nullopt before any observation.
   std::optional<AoaSignature> reference() const;
   /// Per-band reference spectra; nullopt before any observation.
   std::optional<SubbandSignature> reference_bands() const;
 
-  std::size_t observations() const { return observations_; }
-  std::size_t mismatches() const { return mismatches_; }
+  std::size_t observations() const { return state_.observations; }
+  std::size_t mismatches() const { return state_.mismatches; }
 
   /// Drop all state and retrain from scratch.
   void reset();
@@ -87,7 +89,7 @@ class SignatureTracker {
   /// Copy out the raw learning state. restore()ing the result into a
   /// tracker with the same config continues observing bit-for-bit where
   /// this tracker left off.
-  TrackerSnapshot snapshot() const;
+  TrackerSnapshot snapshot() const { return state_; }
   /// Replace this tracker's state with `snap` (config is kept). The
   /// snapshot's bands must be structurally valid (equal-length finite
   /// grids); deserialize_tracker_snapshot() guarantees that for
@@ -97,27 +99,16 @@ class SignatureTracker {
   const TrackerConfig& config() const { return config_; }
 
  private:
-  /// One band's accumulating linear reference spectrum.
-  struct BandReference {
-    std::vector<double> values;
-    std::vector<double> angles;
-    bool wraps = false;
-  };
-
   void blend_into_reference(const SubbandSignature& observed, double alpha);
   /// The cached materialized reference, built on demand. Precondition:
-  /// at least one observation (refs_ non-empty).
+  /// at least one observation (state_.bands non-empty).
   const SubbandSignature& materialized_reference() const;
 
   TrackerConfig config_;
-  bool trained_ = false;
-  std::size_t training_seen_ = 0;
-  std::vector<BandReference> refs_;  // one per subband
+  TrackerSnapshot state_;
   /// Materialized reference signatures, rebuilt only after a blend —
   /// the per-observation hot path otherwise re-extracts K peak sets.
   mutable std::optional<SubbandSignature> ref_cache_;
-  std::size_t observations_ = 0;
-  std::size_t mismatches_ = 0;
 };
 
 }  // namespace sa

@@ -32,20 +32,6 @@ double cosine_similarity(const AoaSignature& a, const AoaSignature& b) {
   return num / std::sqrt(na * nb);
 }
 
-double spectral_distance_db(const AoaSignature& a, const AoaSignature& b,
-                            double floor_db) {
-  check_compatible(a, b);
-  const auto da = a.spectrum().values_db();
-  const auto db = b.spectrum().values_db();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    const double xa = std::max(da[i], floor_db);
-    const double xb = std::max(db[i], floor_db);
-    acc += (xa - xb) * (xa - xb);
-  }
-  return std::sqrt(acc / static_cast<double>(da.size()));
-}
-
 double peak_set_distance(const AoaSignature& a, const AoaSignature& b,
                          double match_tolerance_deg) {
   SA_EXPECTS(a.valid() && b.valid());
@@ -103,54 +89,18 @@ double match_score(const AoaSignature& a, const AoaSignature& b,
   return (weights.w_cosine * c + weights.w_peaks * p) / denom;
 }
 
-namespace {
-
-/// Mean of a single-band metric over corresponding bands. With one band
-/// the mean is the bare value, keeping K=1 numerically identical to the
-/// narrowband metrics.
-template <typename Metric>
-double mean_over_bands(const SubbandSignature& a, const SubbandSignature& b,
-                       Metric&& metric) {
-  SA_EXPECTS(a.valid() && b.valid());
-  SA_EXPECTS(a.num_bands() == b.num_bands());
-  if (a.num_bands() == 1) return metric(a.band(0), b.band(0));
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.num_bands(); ++i) {
-    acc += metric(a.band(i), b.band(i));
-  }
-  return acc / static_cast<double>(a.num_bands());
-}
-
-}  // namespace
-
-double cosine_similarity(const SubbandSignature& a, const SubbandSignature& b) {
-  return mean_over_bands(a, b, [](const AoaSignature& x, const AoaSignature& y) {
-    return cosine_similarity(x, y);
-  });
-}
-
-double spectral_distance_db(const SubbandSignature& a, const SubbandSignature& b,
-                            double floor_db) {
-  return mean_over_bands(a, b,
-                         [&](const AoaSignature& x, const AoaSignature& y) {
-                           return spectral_distance_db(x, y, floor_db);
-                         });
-}
-
-double peak_set_distance(const SubbandSignature& a, const SubbandSignature& b,
-                         double match_tolerance_deg) {
-  return mean_over_bands(a, b,
-                         [&](const AoaSignature& x, const AoaSignature& y) {
-                           return peak_set_distance(x, y, match_tolerance_deg);
-                         });
-}
-
 double match_score(const SubbandSignature& a, const SubbandSignature& b,
                    const MatchWeights& weights) {
-  return mean_over_bands(a, b,
-                         [&](const AoaSignature& x, const AoaSignature& y) {
-                           return match_score(x, y, weights);
-                         });
+  SA_EXPECTS(a.valid() && b.valid());
+  SA_EXPECTS(a.num_bands() == b.num_bands());
+  // With one band the mean is the bare value, keeping K=1 numerically
+  // identical to the narrowband score.
+  if (a.num_bands() == 1) return match_score(a.band(0), b.band(0), weights);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.num_bands(); ++i) {
+    acc += match_score(a.band(i), b.band(i), weights);
+  }
+  return acc / static_cast<double>(a.num_bands());
 }
 
 }  // namespace sa

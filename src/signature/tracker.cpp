@@ -4,6 +4,26 @@
 
 namespace sa {
 
+namespace {
+
+/// True when `observed` fits the accumulators: the same band count and,
+/// per band, the same grid size and wrap flag — what blending and
+/// match_score demand of two spectra.
+bool same_shape(const std::vector<TrackerSnapshot::Band>& bands,
+                const SubbandSignature& observed) {
+  if (bands.size() != observed.num_bands()) return false;
+  for (std::size_t b = 0; b < bands.size(); ++b) {
+    const Pseudospectrum& spec = observed.band(b).spectrum();
+    if (bands[b].values.size() != spec.size() ||
+        bands[b].wraps != spec.wraps()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 SignatureTracker::SignatureTracker(TrackerConfig config) : config_(config) {
   SA_EXPECTS(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0);
   SA_EXPECTS(config_.match_threshold >= 0.0 && config_.match_threshold <= 1.0);
@@ -13,55 +33,61 @@ SignatureTracker::SignatureTracker(TrackerConfig config) : config_(config) {
 void SignatureTracker::blend_into_reference(const SubbandSignature& observed,
                                             double alpha) {
   ref_cache_.reset();
-  if (refs_.empty()) {
-    refs_.resize(observed.num_bands());
+  auto& bands = state_.bands;
+  if (bands.empty()) {
+    bands.resize(observed.num_bands());
     for (std::size_t b = 0; b < observed.num_bands(); ++b) {
       const auto& spec = observed.band(b).spectrum();
-      refs_[b].values = spec.values();
-      refs_[b].angles = spec.angles_deg();
-      refs_[b].wraps = spec.wraps();
+      bands[b].values = spec.values();
+      bands[b].angles_deg = spec.angles_deg();
+      bands[b].wraps = spec.wraps();
     }
     return;
   }
-  SA_EXPECTS(refs_.size() == observed.num_bands());
-  for (std::size_t b = 0; b < refs_.size(); ++b) {
+  SA_EXPECTS(bands.size() == observed.num_bands());
+  for (std::size_t b = 0; b < bands.size(); ++b) {
     const auto& vals = observed.band(b).spectrum().values();
-    SA_EXPECTS(vals.size() == refs_[b].values.size());
+    auto& acc = bands[b].values;
+    SA_EXPECTS(vals.size() == acc.size());
     for (std::size_t i = 0; i < vals.size(); ++i) {
-      refs_[b].values[i] = (1.0 - alpha) * refs_[b].values[i] + alpha * vals[i];
+      acc[i] = (1.0 - alpha) * acc[i] + alpha * vals[i];
     }
   }
 }
 
 TrackerDecision SignatureTracker::observe(const SubbandSignature& observed) {
   SA_EXPECTS(observed.valid());
-  ++observations_;
+  ++state_.observations;
 
-  if (!trained_) {
-    if (!refs_.empty() && refs_.size() != observed.num_bands()) {
-      // Band count changed mid-training (an AP reconfiguration): restart
-      // the accumulation rather than mixing incompatible spectra.
-      refs_.clear();
-      training_seen_ = 0;
+  if (!state_.trained) {
+    if (!state_.bands.empty() && !same_shape(state_.bands, observed)) {
+      // The shape changed mid-training (an AP reconfiguration, or state
+      // handed off from a site with another grid): restart the
+      // accumulation rather than mixing incompatible spectra.
+      state_.bands.clear();
+      state_.training_seen = 0;
     }
     // Equal-weight average over the training window.
-    ++training_seen_;
-    blend_into_reference(observed, 1.0 / static_cast<double>(training_seen_));
-    if (training_seen_ >= config_.training_packets) trained_ = true;
+    ++state_.training_seen;
+    blend_into_reference(observed,
+                         1.0 / static_cast<double>(state_.training_seen));
+    if (state_.training_seen >= config_.training_packets) {
+      state_.trained = true;
+    }
     return {TrackerVerdict::kTraining, 0.0};
   }
 
-  const SubbandSignature& ref = materialized_reference();
-  if (ref.num_bands() != observed.num_bands()) {
-    ++mismatches_;
+  if (!same_shape(state_.bands, observed)) {
+    ++state_.mismatches;
     return {TrackerVerdict::kMismatch, 0.0};
   }
-  const double score = match_score(observed, ref, config_.weights);
+  const double score =
+      match_score(observed, materialized_reference(), config_.weights);
   if (score >= config_.match_threshold) {
     blend_into_reference(observed, config_.ewma_alpha);
     return {TrackerVerdict::kMatch, score};
   }
-  ++mismatches_;
+  ++state_.mismatches;
   return {TrackerVerdict::kMismatch, score};
 }
 
@@ -71,13 +97,13 @@ TrackerDecision SignatureTracker::observe(const AoaSignature& observed) {
 }
 
 const SubbandSignature& SignatureTracker::materialized_reference() const {
-  SA_EXPECTS(!refs_.empty());
+  SA_EXPECTS(!state_.bands.empty());
   if (!ref_cache_) {
     std::vector<AoaSignature> bands;
-    bands.reserve(refs_.size());
-    for (const auto& ref : refs_) {
+    bands.reserve(state_.bands.size());
+    for (const auto& band : state_.bands) {
       bands.push_back(AoaSignature::from_spectrum(
-          Pseudospectrum(ref.angles, ref.values, ref.wraps),
+          Pseudospectrum(band.angles_deg, band.values, band.wraps),
           config_.signature_config));
     }
     ref_cache_ = SubbandSignature(std::move(bands));
@@ -86,7 +112,7 @@ const SubbandSignature& SignatureTracker::materialized_reference() const {
 }
 
 std::optional<SubbandSignature> SignatureTracker::reference_bands() const {
-  if (refs_.empty()) return std::nullopt;
+  if (state_.bands.empty()) return std::nullopt;
   return materialized_reference();
 }
 
@@ -96,50 +122,19 @@ std::optional<AoaSignature> SignatureTracker::reference() const {
   return bands->fuse(config_.signature_config);
 }
 
-TrackerSnapshot SignatureTracker::snapshot() const {
-  TrackerSnapshot s;
-  s.trained = trained_;
-  s.training_seen = training_seen_;
-  s.observations = observations_;
-  s.mismatches = mismatches_;
-  s.bands.reserve(refs_.size());
-  for (const auto& ref : refs_) {
-    TrackerSnapshot::Band b;
-    b.angles_deg = ref.angles;
-    b.values = ref.values;
-    b.wraps = ref.wraps;
-    s.bands.push_back(std::move(b));
-  }
-  return s;
-}
-
 void SignatureTracker::restore(const TrackerSnapshot& snap) {
   SA_EXPECTS(!snap.trained || !snap.bands.empty());
-  refs_.clear();
-  refs_.reserve(snap.bands.size());
   for (const auto& b : snap.bands) {
     SA_EXPECTS(b.angles_deg.size() == b.values.size());
     SA_EXPECTS(b.angles_deg.size() >= 2);
-    BandReference ref;
-    ref.values = b.values;
-    ref.angles = b.angles_deg;
-    ref.wraps = b.wraps;
-    refs_.push_back(std::move(ref));
   }
-  trained_ = snap.trained;
-  training_seen_ = static_cast<std::size_t>(snap.training_seen);
-  observations_ = static_cast<std::size_t>(snap.observations);
-  mismatches_ = static_cast<std::size_t>(snap.mismatches);
+  state_ = snap;
   ref_cache_.reset();
 }
 
 void SignatureTracker::reset() {
-  trained_ = false;
-  training_seen_ = 0;
-  refs_.clear();
+  state_ = {};
   ref_cache_.reset();
-  observations_ = 0;
-  mismatches_ = 0;
 }
 
 }  // namespace sa

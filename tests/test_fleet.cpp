@@ -1,15 +1,16 @@
-// Fleet-tier tests: FleetWire round-trip and total decode, fleet
-// header round-trip, the handoff state machine (generation guard,
+// Fleet-tier tests: FleetWire round-trip, golden bytes and total decode,
+// fleet header round-trip, the handoff state machine (generation guard,
 // stale/malformed/bad-site rejection, handoff under a backpressured
-// pipeline), cross-thread/cross-site determinism of recorded fleet
-// captures, fleet replay at several thread counts, the roaming
-// scenario's shape, and the acceptance oracle: a roaming client's
-// post-handoff decisions must be byte-identical to a single session that
-// never split the state at all.
+// pipeline, a handed-off tracker of another grid), cross-thread/cross-site
+// determinism of recorded fleet captures, fleet replay at several thread
+// counts, the roaming scenario's shape, and the acceptance oracle: a
+// roaming client's post-handoff decisions must be byte-identical to a
+// single session that never split the state at all.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -124,6 +125,89 @@ TEST(FleetWire, RejectsStructuralDamage) {
   bad = wire;
   bad[16 + 22] |= 0x80;
   EXPECT_FALSE(decode_client_state(bad).has_value());
+}
+
+/// Independent little-endian writers, so the golden-bytes test does not
+/// reuse the codec it is checking.
+void golden_le(ByteStream& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+void golden_f64(ByteStream& out, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  golden_le(out, bits, 8);
+}
+
+TEST(FleetWire, ClientStateGoldenBytes) {
+  FleetClientState msg;
+  msg.mac = MacAddress({0x02, 0x11, 0x22, 0x33, 0x44, 0x55});
+  msg.generation = 0x0102030405060708ull;
+  msg.source_site = 3;
+  msg.dest_site = 4;
+  TrackerSnapshot snap;
+  snap.trained = true;
+  snap.training_seen = 5;
+  snap.observations = 9;
+  snap.mismatches = 2;
+  TrackerSnapshot::Band band;
+  band.angles_deg = {-90.0, -30.0, 30.0, 90.0};
+  band.values = {0.125, 1.0, 0.5, 0.0625};
+  band.wraps = true;
+  snap.bands.push_back(band);
+  msg.state.tracker = snap;
+  msg.state.acl_allowed = true;
+  msg.state.rate_in_window = 6;
+
+  // The layout wire.hpp and serialize.hpp document, written by hand.
+  ByteStream sat1;
+  golden_le(sat1, 0x53415431u, 4);  // SAT1 magic
+  golden_le(sat1, 1, 4);            // flags: trained
+  golden_le(sat1, 5, 8);            // training_seen
+  golden_le(sat1, 9, 8);            // observations
+  golden_le(sat1, 2, 8);            // mismatches
+  golden_le(sat1, 1, 4);            // band count
+  golden_le(sat1, 1, 4);            // wraps
+  golden_le(sat1, 4, 4);            // grid size
+  for (double a : {-90.0, -30.0, 30.0, 90.0}) golden_f64(sat1, a);
+  for (double v : {0.125, 1.0, 0.5, 0.0625}) golden_f64(sat1, v);
+  ASSERT_EQ(sat1.size(), 108u);
+
+  ByteStream payload = {0x02, 0x11, 0x22, 0x33, 0x44, 0x55};
+  golden_le(payload, 0x0102030405060708ull, 8);  // generation
+  golden_le(payload, 3, 4);                      // source_site
+  golden_le(payload, 4, 4);                      // dest_site
+  golden_le(payload, 0xF, 4);  // tracker, ACL present, allowed, rate
+  golden_le(payload, sat1.size(), 4);
+  payload.insert(payload.end(), sat1.begin(), sat1.end());
+  golden_le(payload, 6, 4);  // rate_in_window
+
+  ByteStream golden = {'S', 'A', 'F', 'W'};
+  golden_le(golden, 1, 4);  // version
+  golden_le(golden, 1, 4);  // type: kClientState
+  golden_le(golden, payload.size(), 4);
+  golden.insert(golden.end(), payload.begin(), payload.end());
+
+  EXPECT_EQ(encode_client_state(msg), golden);
+  const auto back = decode_client_state(golden);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->mac, msg.mac);
+  EXPECT_EQ(back->generation, msg.generation);
+  EXPECT_EQ(back->source_site, 3u);
+  EXPECT_EQ(back->dest_site, 4u);
+  ASSERT_TRUE(back->state.tracker.has_value());
+  EXPECT_TRUE(back->state.tracker->trained);
+  EXPECT_EQ(back->state.tracker->training_seen, 5u);
+  EXPECT_EQ(back->state.tracker->observations, 9u);
+  EXPECT_EQ(back->state.tracker->mismatches, 2u);
+  ASSERT_EQ(back->state.tracker->bands.size(), 1u);
+  EXPECT_TRUE(back->state.tracker->bands[0].wraps);
+  EXPECT_EQ(back->state.tracker->bands[0].angles_deg, band.angles_deg);
+  EXPECT_EQ(back->state.tracker->bands[0].values, band.values);
+  EXPECT_EQ(back->state.acl_allowed, std::optional<bool>(true));
+  EXPECT_EQ(back->state.rate_in_window, std::optional<std::uint32_t>(6));
 }
 
 TEST(FleetWire, FuzzedMessagesNeverCrash) {
@@ -292,6 +376,51 @@ TEST(FleetHandoff, SurvivesBackpressuredPipelineAndDrain) {
             FleetImportOutcome::kApplied);
   EXPECT_EQ(fleet.decisions(0).size() + fleet.decisions(1).size(), 20u);
   fleet.close();
+}
+
+/// A well-formed handoff can carry a tracker learned on another scan
+/// grid (here one 4-point band, against the sites' 4-antenna scans). The
+/// destination must decide the MAC's next frame, not fail its session:
+/// a trained tracker of another shape scores every frame a mismatch, so
+/// the spoof policy drops it.
+TEST(FleetHandoff, ForeignGridTrackerIsDecidedNotFatal) {
+  const FleetConfig config = small_fleet(2, 1);
+  FleetCoordinator fleet(config);
+  const MacAddress mac = MacAddress::from_index(1);
+
+  FleetClientState msg;
+  msg.mac = mac;
+  msg.generation = 1;
+  msg.dest_site = 1;
+  TrackerSnapshot snap;
+  snap.trained = true;
+  snap.training_seen = 5;
+  snap.observations = 5;
+  TrackerSnapshot::Band band;
+  band.angles_deg = {0.0, 90.0, 180.0, 270.0};
+  band.values = {1.0, 0.5, 0.25, 0.5};
+  band.wraps = true;
+  snap.bands.push_back(band);
+  msg.state.tracker = snap;
+  ASSERT_EQ(fleet.apply_handoff(encode_client_state(msg)),
+            FleetImportOutcome::kApplied);
+
+  BuiltDeployment wavegen =
+      build_deployment(site_spec(config.spec, 1), /*with_sim=*/true);
+  const Frame f =
+      Frame::data(MacAddress::from_index(0xFF), mac, Bytes{1, 2, 3}, 0);
+  const CVec w = PacketTransmitter(PhyRate::k6Mbps).transmit(f.serialize());
+  wavegen.sim->advance(0.05);
+  fleet.submit_round(1, wavegen.sim->transmit(
+                            wavegen.testbed.client(1).position, w, nullptr));
+  EXPECT_NO_THROW(fleet.drain_all());
+  ASSERT_EQ(fleet.decisions(1).size(), 1u);
+  const FrameDecision& d = fleet.decisions(1)[0].decision;
+  EXPECT_FALSE(d.accepted);
+  EXPECT_EQ(d.policy, "spoof");
+  EXPECT_EQ(d.spoof, SpoofVerdict::kSpoof);
+  EXPECT_EQ(d.spoof_score, 0.0);
+  EXPECT_NO_THROW(fleet.close());
 }
 
 // ------------------------------------------------- roaming + determinism

@@ -43,7 +43,10 @@
 //                         # blocks, max-length tracker claims, bad
 //                         # checksums, reserved flags, and inner
 //                         # messages truncated at every prefix — decode
-//                         # must reject cleanly, never UB
+//                         # must reject cleanly, never UB; and every
+//                         # client state that decodes (two well-formed
+//                         # trackers on foreign grids included) must
+//                         # import and observe without an exception
 //   capture_tool chaos    [--sites N] [--clients C] [--moves M]
 //                         [--seeds CSV] [--plan SPEC]... [--drivers D]
 //                         # in-process fault-matrix: roam C clients
@@ -72,6 +75,7 @@
 #include "sa/fleet/replay.hpp"
 #include "sa/fleet/transport.hpp"
 #include "sa/fleet/wire.hpp"
+#include "sa/secure/spoofdetector.hpp"
 #include "sa/signature/serialize.hpp"
 #include "sa/sim/deployment.hpp"
 
@@ -395,6 +399,14 @@ ByteStream hostile_envelope(std::uint64_t seq, std::uint32_t flags,
 ///     every cheap outer check, so they pin down the deep validation;
 ///     each one MUST be rejected, and an unexpected accept fails the
 ///     run.
+///
+/// Every client state that decodes, in either regime, must also be
+/// usable: its tracker is imported into a SpoofDetector, which then
+/// observes one signature of the seed message's shape (64 points,
+/// wrapping), as the destination site's next frame would. Two hostiles
+/// decode on purpose — a tracker on a 4-point grid, and the seed tracker
+/// with its wrap flag cleared — and an exception on any of them fails
+/// the run: in a live session it would fail the control thread.
 int cmd_fuzz_wire(std::uint64_t seed, std::size_t count, std::size_t ops) {
   FleetClientState msg;
   msg.mac = MacAddress::from_index(42);
@@ -432,6 +444,28 @@ int cmd_fuzz_wire(std::uint64_t seed, std::size_t count, std::size_t ops) {
     return 1;
   }
 
+  // An accepted client state is usable if its tracker imports and then
+  // observes a signature of the seed's shape without throwing.
+  const TrackerSnapshot::Band& seed_band = msg.state.tracker->bands.front();
+  const AoaSignature probe = AoaSignature::from_spectrum(
+      Pseudospectrum(seed_band.angles_deg, seed_band.values, seed_band.wraps));
+  std::size_t imported = 0, unusable = 0;
+  auto usable = [&](const std::string& name, const FleetClientState& state) {
+    if (!state.state.tracker) return true;
+    ++imported;
+    try {
+      SpoofDetector detector;
+      detector.import_tracker(state.mac, *state.state.tracker);
+      detector.observe(state.mac, probe);
+      return true;
+    } catch (const std::exception& e) {
+      std::printf("fuzz-wire: accepted client state unusable: %s: %s\n",
+                  name.c_str(), e.what());
+      ++unusable;
+      return false;
+    }
+  };
+
   // Regime 1: blind byte-flips of each frame kind.
   std::size_t decoded = 0, rejected = 0;
   for (std::size_t i = 0; i < count; ++i) {
@@ -441,15 +475,22 @@ int cmd_fuzz_wire(std::uint64_t seed, std::size_t count, std::size_t ops) {
     (void)peek_type(m1);
     (void)peek_type(m2);
     (void)peek_type(m3);
-    decoded += decode_client_state(m1).has_value();
-    decoded += decode_transport_data(m2).has_value();
-    decoded += decode_ack(m3).has_value();
-    rejected += !decode_client_state(m1).has_value();
-    rejected += !decode_transport_data(m2).has_value();
-    rejected += !decode_ack(m3).has_value();
+    const auto state = decode_client_state(m1);
+    const auto data = decode_transport_data(m2);
+    const auto ack = decode_ack(m3);
+    decoded += state.has_value() + data.has_value() + ack.has_value();
+    rejected += !state.has_value() + !data.has_value() + !ack.has_value();
+    const std::string name = "mutant#" + std::to_string(i);
+    if (state) usable(name, *state);
+    if (data) {
+      if (const auto inner = decode_client_state(data->inner)) {
+        usable(name + "-inner", *inner);
+      }
+    }
   }
 
-  // Regime 2: structure-aware hostiles — each must be rejected.
+  // Regime 2: structure-aware hostiles — each must be rejected, except
+  // the two foreign-grid trackers, which must decode and be usable.
   std::vector<std::pair<std::string, bool>> hostiles;  // (name, rejected)
   auto expect_reject_state = [&](const std::string& name,
                                  const ByteStream& bytes) {
@@ -510,6 +551,25 @@ int cmd_fuzz_wire(std::uint64_t seed, std::size_t count, std::size_t ops) {
   // Reserved client-state flag bits.
   expect_reject_state("state-reserved-flags",
                       raw_frame(kStateType, state_prefix(0xFFFFFFF0u)));
+  // Well-formed trackers on a grid the seed's signatures do not fit:
+  // each must decode, import and observe.
+  auto expect_usable = [&](const std::string& name, TrackerSnapshot tracker) {
+    FleetClientState hostile = msg;
+    hostile.state.tracker = std::move(tracker);
+    const auto back = decode_client_state(encode_client_state(hostile));
+    hostiles.emplace_back(name, back.has_value() && usable(name, *back));
+  };
+  {
+    TrackerSnapshot four_point = *msg.state.tracker;
+    four_point.bands.front().angles_deg = {-180.0, -90.0, 0.0, 90.0};
+    four_point.bands.front().values = {0.25, 0.5, 1.0, 0.5};
+    expect_usable("tracker-4-point-grid", std::move(four_point));
+  }
+  {
+    TrackerSnapshot unwrapped = *msg.state.tracker;
+    unwrapped.bands.front().wraps = false;
+    expect_usable("tracker-wrap-cleared", std::move(unwrapped));
+  }
   // Inner message truncated at every prefix, shipped inside an
   // envelope whose checksum is CORRECT for the truncated cargo: the
   // transport layer accepts it, the nested client-state decode must
@@ -563,21 +623,22 @@ int cmd_fuzz_wire(std::uint64_t seed, std::size_t count, std::size_t ops) {
     expect_reject_ack("ack-reserved-flags", raw_frame(kAckType, p));
   }
 
-  std::size_t hostile_accepted = 0;
+  std::size_t hostile_failed = 0;
   for (const auto& [name, behaved] : hostiles) {
     if (!behaved) {
       std::printf("fuzz-wire: hostile case FAILED: %s\n", name.c_str());
-      ++hostile_accepted;
+      ++hostile_failed;
     }
   }
   std::printf(
       "fleet-wire: %zu blind mutant(s) x3 kinds, seed %llu, %zu op(s) each: "
       "%zu still decodable, %zu rejected; %zu structure-aware hostile(s) "
-      "(%zu inner truncations) — %zu wrongly accepted, no crashes\n",
+      "(%zu inner truncations) — %zu failed; %zu decoded tracker(s) "
+      "imported and observed — %zu unusable, no crashes\n",
       count, static_cast<unsigned long long>(seed), ops, decoded, rejected,
-      hostiles.size() + inner_truncations, inner_truncations,
-      hostile_accepted);
-  return hostile_accepted == 0 ? 0 : 1;
+      hostiles.size() + inner_truncations, inner_truncations, hostile_failed,
+      imported, unusable);
+  return hostile_failed == 0 && unusable == 0 ? 0 : 1;
 }
 
 /// Set header metadata `key` to `value`, replacing an existing entry.
